@@ -1,11 +1,12 @@
 """Numerics for sparse bump Schrodinger operators on the half-line.
 
 Builds Pearson-type potentials (widely spaced smooth bumps), evolves
-generalized eigenfunctions exactly across gaps and by fixed-step RK4
-across bumps, computes the continuum Christoffel-Darboux kernel by three
-mutually checking routes, enumerates Neumann eigenvalues of the
-restricted operators through a monotone phase, and measures the
-perturbation bounds behind the sine-kernel and clock-spacing limits.
+generalized eigenfunctions exactly across gaps and by a fixed-step
+fourth-order Magnus map across bumps, computes the continuum
+Christoffel-Darboux kernel by three mutually checking routes, enumerates
+Neumann eigenvalues of the restricted operators through a monotone
+phase, and measures the perturbation bounds behind the sine-kernel and
+clock-spacing limits.
 """
 from .config import DEFAULTS, Settings
 from .potential import (

@@ -19,6 +19,7 @@ import numpy as np
 
 from .kernel import kernel_ratio, sine_kernel
 from .potential import (
+    POTENTIAL_KEYS,
     HatNSearchError,
     PearsonPotential,
     PotentialSpec,
@@ -46,12 +47,6 @@ HEADERS = {
     "verify": ["lemma_id", "parameters", "measured", "reference", "verdict", "status"],
     "hatn": ["ell", "tolerance", "window_lo", "window_hi", "ab_bound", "hat_n", "status"],
 }
-
-_POTENTIAL_KEYS = {
-    "profile", "amplitude_rule", "amplitude_values", "amplitude_c", "amplitude_p",
-    "center_rule", "center_values", "center_n1", "center_gamma", "count",
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -147,14 +142,14 @@ def _floats(text: str, key: str) -> tuple[float, ...]:
 
 def config_from_mapping(kind: str, mapping: dict[str, str]) -> ExperimentConfig:
     cfg = ExperimentConfig(kind=kind)
-    pot_keys = {k: v for k, v in mapping.items() if k in _POTENTIAL_KEYS}
+    pot_keys = {k: v for k, v in mapping.items() if k in POTENTIAL_KEYS}
     if pot_keys:
         try:
             cfg.potential = potential_spec_from_mapping(pot_keys)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     for key, value in mapping.items():
-        if key in _POTENTIAL_KEYS or key == "kind":
+        if key in POTENTIAL_KEYS or key == "kind":
             continue
         try:
             if key in ("xi_grid", "l_grid", "a_grid", "b_grid"):
@@ -284,9 +279,7 @@ def _task_hatn(payload):
     try:
         value = empirical_hat_N(V, ell, tolerance, window, ab_bound, steps=steps)
         return [[ell, tolerance, window[0], window[1], ab_bound, value, "ok"]]
-    except HatNSearchError as exc:
-        return [[ell, tolerance, window[0], window[1], ab_bound, "", f"error: {exc}"]]
-    except Exception as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001 - recorded per row
         return [[ell, tolerance, window[0], window[1], ab_bound, "", f"error: {exc}"]]
 
 

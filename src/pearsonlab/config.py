@@ -8,9 +8,12 @@ from dataclasses import dataclass
 class Settings:
     """Integrator and tolerance knobs used across the package.
 
-    steps_per_bump: fixed RK4 step count across one unit bump support.
+    steps_per_bump: fixed step count across one unit bump support; it
+        counts Magnus steps in the propagation and RK4 steps in
+        kernel.cd_quadrature.
     det_tol_per_unit: allowed |det - 1| drift of a transfer matrix,
-        per unit of propagated length (floor of one unit).
+        per unit of propagated length (floor of one unit), checked once
+        when the matrix is constructed.
     root_rel_tol: relative tolerance for eigenvalue refinement; a root
         is accepted once |u'(xi, L)| drops below root_rel_tol times the
         local solution scale sqrt(xi*u^2 + u'^2).

@@ -14,13 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .potential import PearsonPotential
+from .potential import BumpProfile, PearsonPotential
 from .propagate import (
     _as_scalar,
     _is_full_bump,
-    _partial_samples,
-    _profile_samples,
-    _rk4_wsystem,
     _steps_or_default,
     extended_neumann,
     free_transfer,
@@ -132,6 +129,29 @@ def _gap_overlap(u1, d1, w1, u2, d2, w2, delta):
     )
 
 
+@lru_cache(maxsize=64)
+def _rk4_samples(profile: BumpProfile, la: float, lb: float, steps: int):
+    """W at the RK4 nodes and midpoints across [la, lb], and the step length."""
+    n = max(1, math.ceil(steps * (lb - la) - 1e-9))
+    h = (lb - la) / n
+    nodes = tuple(profile.evaluate(la + i * h) for i in range(n + 1))
+    mids = tuple(profile.evaluate(la + (i + 0.5) * h) for i in range(n))
+    return nodes, mids, h
+
+
+def _rk4_wsystem(rhs, nodes, mids, h, y):
+    """Classical RK4 where the right-hand side depends on x only through W."""
+    half = 0.5 * h
+    sixth = h / 6.0
+    for i, wm in enumerate(mids):
+        k1 = rhs(nodes[i], y)
+        k2 = rhs(wm, y + half * k1)
+        k3 = rhs(wm, y + half * k2)
+        k4 = rhs(nodes[i + 1], y + h * k3)
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    return y
+
+
 def _pair_rhs(lam, xi1, xi2):
     def rhs(w, y):
         q1 = lam * w - xi1
@@ -147,7 +167,9 @@ def cd_quadrature(
     """Kernel by a running integral carried through the propagation.
 
     Free gaps contribute closed-form trig product integrals; across bumps
-    the integral rides along as a fifth RK4 component.
+    the integral rides along as a fifth component of a classical RK4
+    system. This is the reference route: its integrator is independent of
+    the Magnus bump maps that the other routes walk.
     """
     steps = _steps_or_default(steps)
     if not L > 0.0:
@@ -173,10 +195,8 @@ def cd_quadrature(
             lam = V.amplitudes[k]
             la, lb = a - c, b - c
             if _is_full_bump(la, lb):
-                nodes, mids = _profile_samples(V.profile, steps)
-                h = 1.0 / steps
-            else:
-                nodes, mids, h = _partial_samples(V.profile, la, lb, steps)
+                la, lb = 0.0, 1.0
+            nodes, mids, h = _rk4_samples(V.profile, la, lb, steps)
             y = np.array([u1, d1, u2, d2, acc], dtype=dtype)
             y = _rk4_wsystem(_pair_rhs(lam, xi, zeta), nodes, mids, h, y)
             u1, d1, u2, d2, acc = y

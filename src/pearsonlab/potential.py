@@ -15,6 +15,7 @@ __all__ = [
     "BumpProfile",
     "PearsonPotential",
     "PotentialSpec",
+    "POTENTIAL_KEYS",
     "HatNSearchError",
     "canonical_bump",
     "zero_potential",
@@ -83,6 +84,9 @@ class PearsonPotential:
         object.__setattr__(self, "centers", cents)
         if len(amps) != len(cents):
             raise ValueError("amplitudes and centers must have equal length")
+        for v in amps + cents:
+            if not math.isfinite(v):
+                raise ValueError(f"amplitudes and centers must be finite (got {v!r})")
         for c in cents:
             if c < 0.0:
                 raise ValueError("bump centers must lie on the half-line")
@@ -265,6 +269,13 @@ def empirical_hat_N(
 # ---------------------------------------------------------------------------
 
 
+POTENTIAL_KEYS = frozenset({
+    "profile", "amplitude_rule", "amplitude_values", "amplitude_c",
+    "amplitude_p", "center_rule", "center_values", "center_n1",
+    "center_gamma", "count",
+})
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Declarative description of a PearsonPotential, serializable as text."""
@@ -306,12 +317,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def potential_spec_from_mapping(mapping: dict[str, str]) -> PotentialSpec:
     """Build a PotentialSpec from already-parsed key/value pairs."""
-    known = {
-        "profile", "amplitude_rule", "amplitude_values", "amplitude_c",
-        "amplitude_p", "center_rule", "center_values", "center_n1",
-        "center_gamma", "count",
-    }
-    unknown = set(mapping) - known
+    unknown = set(mapping) - POTENTIAL_KEYS
     if unknown:
         raise ValueError(f"unknown potential keys: {sorted(unknown)}")
     spec = PotentialSpec(

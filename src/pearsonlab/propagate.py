@@ -1,9 +1,13 @@
 """Hybrid propagation of half-line Schrodinger solutions.
 
 Solutions of -u'' + V u = xi u are evolved exactly (closed-form transfer
-matrices) across potential-free gaps and by fixed-step classical RK4
-across bump supports. Everything here is a pure function of immutable
-inputs and bitwise deterministic for a fixed step configuration.
+matrices) across potential-free gaps and by a fixed-step fourth-order
+Magnus map across bump supports. Each Magnus step is a closed-form 2x2
+exponential of a trace-free matrix, so bump maps keep det = 1 to
+rounding and come with their xi-derivative in closed form. Every walker
+is a fold of the per-piece maps (T, dT/dxi) over segments(). Everything
+here is a pure function of immutable inputs and bitwise deterministic
+for a fixed step configuration.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ _SERIES_CUT = 1e-4  # |sqrt(xi)*dx| below which trig helpers use series forms
 
 
 class DeterminantDriftError(RuntimeError):
-    """A transfer matrix determinant drifted beyond its budget."""
+    """A transfer matrix determinant drifted beyond its tolerance."""
 
 
 def principal_sqrt(xi: complex | float) -> complex | float:
@@ -62,6 +66,8 @@ def principal_sqrt(xi: complex | float) -> complex | float:
 def _as_scalar(xi) -> complex | float:
     """Normalize numpy scalars and real-valued complex to plain float."""
     z = complex(xi)
+    if not cmath.isfinite(z):
+        raise ValueError(f"spectral parameter must be finite (got {xi!r})")
     return z if z.imag != 0.0 else z.real
 
 
@@ -141,14 +147,13 @@ class TransferMatrix:
     """2x2 matrix mapping (u, u') at from_x to (u, u') at to_x.
 
     The coefficient matrix of the first-order system is trace free, so
-    the determinant must stay at 1; construction enforces a drift budget
-    of det_tol_per_unit per unit propagated length (floor one unit).
+    the determinant must stay at 1; construction checks |det - 1| against
+    det_tol_per_unit per unit propagated length (floor one unit).
     """
 
     entries: np.ndarray
     from_x: float
     to_x: float
-    det_budget: float | None = None  # per-unit override; None means the package default
 
     def __post_init__(self) -> None:
         e = np.asarray(self.entries)
@@ -157,13 +162,12 @@ class TransferMatrix:
         e = e.copy()
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-        per_unit = self.det_budget if self.det_budget is not None else DEFAULTS.det_tol_per_unit
-        budget = per_unit * max(1.0, abs(self.to_x - self.from_x))
+        tol = DEFAULTS.det_tol_per_unit * max(1.0, abs(self.to_x - self.from_x))
         drift = abs(self.det() - 1.0)
-        if drift > budget:
+        if drift > tol:
             raise DeterminantDriftError(
                 f"|det - 1| = {drift:.3e} over [{self.from_x}, {self.to_x}] "
-                f"exceeds budget {budget:.3e}"
+                f"exceeds {tol:.3e}"
             )
 
     def det(self) -> complex | float:
@@ -173,7 +177,7 @@ class TransferMatrix:
     def inv(self) -> "TransferMatrix":
         e = self.entries
         adj = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) / self.det()
-        return TransferMatrix(adj, self.to_x, self.from_x, self.det_budget)
+        return TransferMatrix(adj, self.to_x, self.from_x)
 
     def after(self, other: "TransferMatrix") -> "TransferMatrix":
         """Composition self o other; other acts first."""
@@ -181,11 +185,7 @@ class TransferMatrix:
             raise ValueError(
                 f"matrices are not contiguous: {other.to_x} then {self.from_x}"
             )
-        default = DEFAULTS.det_tol_per_unit
-        budget = max(self.det_budget or default, other.det_budget or default)
-        return TransferMatrix(
-            self.entries @ other.entries, other.from_x, self.to_x, budget
-        )
+        return TransferMatrix(self.entries @ other.entries, other.from_x, self.to_x)
 
     def apply(self, u, du):
         e = self.entries
@@ -221,61 +221,10 @@ def free_transfer_dxi(xi, x0: float, x1: float) -> np.ndarray:
     return np.array([[t11, t12], [t21, t11]], dtype=dtype)
 
 
-# -- bump integration -------------------------------------------------------
+# -- bump maps ---------------------------------------------------------------
 
-
-@lru_cache(maxsize=64)
-def _profile_samples(profile: BumpProfile, steps: int):
-    h = 1.0 / steps
-    nodes = tuple(profile.evaluate(i * h) for i in range(steps + 1))
-    mids = tuple(profile.evaluate((i + 0.5) * h) for i in range(steps))
-    return nodes, mids
-
-
-def _partial_samples(profile: BumpProfile, a: float, b: float, steps: int):
-    n = max(1, math.ceil(steps * (b - a) - 1e-9))
-    h = (b - a) / n
-    nodes = tuple(profile.evaluate(a + i * h) for i in range(n + 1))
-    mids = tuple(profile.evaluate(a + (i + 0.5) * h) for i in range(n))
-    return nodes, mids, h
-
-
-def _rk4_wsystem(rhs, nodes, mids, h, y):
-    """Classical RK4 where the right-hand side depends on x only through W."""
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(len(mids)):
-        w0 = nodes[i]
-        wm = mids[i]
-        w1 = nodes[i + 1]
-        k1 = rhs(w0, y)
-        k2 = rhs(wm, y + half * k1)
-        k3 = rhs(wm, y + half * k2)
-        k4 = rhs(w1, y + h * k3)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-    return y
-
-
-def _matrix_rhs(lam, xi):
-    def rhs(w, y):
-        return np.vstack((y[1], (lam * w - xi) * y[0]))
-
-    return rhs
-
-
-def _state_rhs(lam, xi):
-    def rhs(w, y):
-        return np.array([y[1], (lam * w - xi) * y[0]])
-
-    return rhs
-
-
-def _extended_rhs(lam, xi):
-    def rhs(w, y):
-        q = lam * w - xi
-        return np.array([y[1], q * y[0], y[3], q * y[2] - y[0]])
-
-    return rhs
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_EXP_SERIES_CUT = 1e-2  # |mu^2| below which the step exponential uses series forms
 
 
 def _steps_or_default(steps: int | None) -> int:
@@ -285,35 +234,96 @@ def _steps_or_default(steps: int | None) -> int:
     return n
 
 
+def _is_full_bump(la: float, lb: float) -> bool:
+    return la <= 1e-12 and lb >= 1.0 - 1e-12
+
+
+@lru_cache(maxsize=256)
+def _gauss_samples(profile: BumpProfile, la: float, lb: float, steps: int):
+    """W at both Gauss nodes of each step on [la, lb], the step, and the Gauss integral of W."""
+    n = max(1, math.ceil(steps * (lb - la) - 1e-9))
+    h = (lb - la) / n
+    w1, w2 = (np.array([profile.evaluate(la + (i + g) * h) for i in range(n)]) for g in _GAUSS)
+    for w in (w1, w2):
+        w.setflags(write=False)
+    return w1, w2, h, 0.5 * h * float(w1.sum() + w2.sum())
+
+
+def _exp_coeffs(m):
+    """cosh(r), sinh(r)/r and d/dm of sinh(r)/r at r = sqrt(m), entrywise.
+
+    All three are entire in m; small |m| takes their Taylor series, which
+    also avoids the cancellation in the closed form of the derivative.
+    """
+    small = np.abs(m) < _EXP_SERIES_CUT
+    safe = np.where(small, 1.0, m)
+    r = np.sqrt(safe.astype(complex))
+    ch, sh = np.cosh(r), np.sinh(r) / r
+    if not np.iscomplexobj(m):
+        ch, sh = ch.real, sh.real
+    dsh = np.where(small, (1.0 + m / 10 * (1.0 + m / 28 * (1.0 + m / 54))) / 6.0,
+                   (ch - sh) / (2.0 * safe))
+    ch = np.where(small, 1.0 + m / 2 * (1.0 + m / 12 * (1.0 + m / 30 * (1.0 + m / 56))), ch)
+    sh = np.where(small, 1.0 + m / 6 * (1.0 + m / 20 * (1.0 + m / 42 * (1.0 + m / 72))), sh)
+    return ch, sh, dsh
+
+
+def _magnus_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, steps: int):
+    """Transfer matrix T across [la, lb] of one bump and its derivative dT/dxi.
+
+    Each step is the two-point Gauss Magnus step of order four. With
+    q = lam*W - xi at the nodes (q1, q2) and qbar their mean, the step
+    exponent is Omega = [[c, h], [h*qbar, -c]], c = (sqrt(3)/12) h^2 (q1 - q2),
+    and exp(Omega) = cosh(mu) I + (sinh(mu)/mu) Omega with mu^2 = c^2 + h^2 qbar.
+    Omega is trace free, so every step has unit determinant up to rounding;
+    dOmega/dxi = [[0, 0], [-h, 0]] gives the step derivative in closed form.
+    The steps are multiplied in a balanced tree, earlier steps on the right.
+    """
+    w1, w2, h, _ = _gauss_samples(profile, la, lb, steps)
+    c = (math.sqrt(3.0) / 12.0 * h * h * lam) * (w1 - w2)
+    qbar = 0.5 * lam * (w1 + w2) - xi
+    ch, sh, dsh = _exp_coeffs(c * c + h * h * qbar)
+    # d(mu^2)/dxi = -h^2 and d cosh(mu) / d(mu^2) = sinh(mu) / (2 mu)
+    dch = -0.5 * h * h * sh
+    dsh = -h * h * dsh
+    T = np.array([[ch + sh * c, sh * h], [sh * h * qbar, ch - sh * c]])
+    D = np.array([[dch + dsh * c, dsh * h], [dsh * h * qbar - sh * h, dch - dsh * c]])
+    T, D = np.moveaxis(T, -1, 0), np.moveaxis(D, -1, 0)
+    while len(T) > 1:
+        if len(T) % 2:
+            T = np.concatenate((T, np.eye(2)[None]))
+            D = np.concatenate((D, np.zeros((1, 2, 2))))
+        D = D[1::2] @ T[0::2] + T[1::2] @ D[0::2]
+        T = T[1::2] @ T[0::2]
+    for a in (T, D):
+        a.setflags(write=False)
+    return T[0], D[0]
+
+
 @lru_cache(maxsize=8192)
-def _bump_matrix(profile: BumpProfile, lam: float, xi, steps: int) -> np.ndarray:
-    nodes, mids = _profile_samples(profile, steps)
-    dtype = complex if isinstance(xi, complex) else float
-    y = np.eye(2, dtype=dtype)
-    out = _rk4_wsystem(_matrix_rhs(lam, xi), nodes, mids, 1.0 / steps, y)
-    out.setflags(write=False)
-    return out
+def _bump_matrix(profile: BumpProfile, lam: float, xi, steps: int):
+    return _magnus_map(profile, lam, xi, 0.0, 1.0, steps)
 
 
-def _det_budget_for_steps(steps: int) -> float:
-    # RK4 determinant drift scales like h^4; coarse step counts get a
-    # proportionally looser budget than the default-resolution one
-    scale = max(1.0, (DEFAULTS.steps_per_bump / steps) ** 4)
-    return DEFAULTS.det_tol_per_unit * scale
+def _bump_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, steps: int):
+    """(T, dT/dxi) across [la, lb] of one bump; full supports are cached."""
+    if _is_full_bump(la, lb):
+        return _bump_matrix(profile, float(lam), xi, steps)
+    return _magnus_map(profile, lam, xi, la, lb, steps)
 
 
 def bump_transfer(
     profile: BumpProfile, lam: float, xi, steps: int | None = None
 ) -> TransferMatrix:
-    """Transfer matrix across one bump support, by fixed-step RK4 on [0, 1].
+    """Transfer matrix across one bump support, by fixed-step Magnus on [0, 1].
 
-    Solves B' = [[0, 1], [lam*W(x) - xi, 0]] B with B(0) = Id; the columns
-    are the Neumann-like and Dirichlet-like basis solutions across the bump.
-    Results are cached per (profile, lam, xi, steps).
+    Maps (u, u') at the left edge of the support to (u, u') at the right
+    edge for -u'' + lam*W u = xi u; its columns are the Neumann-like and
+    Dirichlet-like basis solutions across the bump. Results are cached
+    per (profile, lam, xi, steps).
     """
     steps = _steps_or_default(steps)
-    entries = _bump_matrix(profile, float(lam), _as_scalar(xi), steps)
-    return TransferMatrix(entries, 0.0, 1.0, _det_budget_for_steps(steps))
+    return TransferMatrix(_bump_matrix(profile, float(lam), _as_scalar(xi), steps)[0], 0.0, 1.0)
 
 
 def bump_transfer_partial(
@@ -323,12 +333,8 @@ def bump_transfer_partial(
     steps = _steps_or_default(steps)
     if not (0.0 <= a < b <= 1.0):
         raise ValueError("bump-local interval must satisfy 0 <= a < b <= 1")
-    xi = _as_scalar(xi)
-    nodes, mids, h = _partial_samples(profile, a, b, steps)
-    dtype = complex if isinstance(xi, complex) else float
-    y = np.eye(2, dtype=dtype)
-    out = _rk4_wsystem(_matrix_rhs(lam, xi), nodes, mids, h, y)
-    return TransferMatrix(out, a, b, _det_budget_for_steps(steps))
+    T, _ = _bump_map(profile, lam, _as_scalar(xi), a, b, steps)
+    return TransferMatrix(T, a, b)
 
 
 # -- segment walking --------------------------------------------------------
@@ -342,6 +348,8 @@ def segments(V: PearsonPotential, x0: float, x1: float):
     """
     p = float(x0)
     end = float(x1)
+    if not (math.isfinite(p) and math.isfinite(end)):
+        raise ValueError(f"segment endpoints must be finite (got {x0!r} and {x1!r})")
     if end < p:
         raise ValueError("segment walk requires x1 >= x0")
     tol = 1e-12 * max(1.0, abs(end))
@@ -366,8 +374,16 @@ def segments(V: PearsonPotential, x0: float, x1: float):
     return out
 
 
-def _is_full_bump(la: float, lb: float) -> bool:
-    return la <= 1e-12 and lb >= 1.0 - 1e-12
+def _piece_maps(V: PearsonPotential, xi, x0: float, x1: float, steps: int):
+    """(T, dT/dxi) for each piece of segments(V, x0, x1), in walking order."""
+    for seg in segments(V, x0, x1):
+        if seg[0] == "free":
+            _, a, b = seg
+            yield free_transfer(xi, a, b).entries, free_transfer_dxi(xi, a, b)
+        else:
+            _, a, b, k = seg
+            c = V.centers[k]
+            yield _bump_map(V.profile, V.amplitudes[k], xi, a - c, b - c, steps)
 
 
 def propagate_to(
@@ -378,27 +394,10 @@ def propagate_to(
     if target < state.x:
         raise ValueError("propagation target must not precede the current position")
     xi = _as_scalar(xi)
-    u, du = state.u, state.du
-    if isinstance(xi, complex):
-        u, du = complex(u), complex(du)
-    for seg in segments(V, state.x, target):
-        if seg[0] == "free":
-            _, a, b = seg
-            u, du = free_transfer(xi, a, b).apply(u, du)
-        else:
-            _, a, b, k = seg
-            c = V.centers[k]
-            lam = V.amplitudes[k]
-            la, lb = a - c, b - c
-            if _is_full_bump(la, lb):
-                u, du = bump_transfer(V.profile, lam, xi, steps).apply(u, du)
-            else:
-                nodes, mids, h = _partial_samples(V.profile, la, lb, steps)
-                dtype = complex if isinstance(xi, complex) else float
-                y = np.array([u, du], dtype=dtype)
-                y = _rk4_wsystem(_state_rhs(lam, xi), nodes, mids, h, y)
-                u, du = y[0], y[1]
-    return SolutionState(u, du, float(target))
+    y = np.array([state.u, state.du], dtype=np.result_type(state.u, state.du, xi))
+    for T, _ in _piece_maps(V, xi, state.x, target, steps):
+        y = T @ y
+    return SolutionState(y[0], y[1], float(target))
 
 
 def neumann_solution(
@@ -425,27 +424,10 @@ def transfer_to(
     """Full transfer matrix of the potential from 0 to x."""
     steps = _steps_or_default(steps)
     xi = _as_scalar(xi)
-    dtype = complex if isinstance(xi, complex) else float
-    T = TransferMatrix(np.eye(2, dtype=dtype), 0.0, 0.0)
-    for seg in segments(V, 0.0, x):
-        if seg[0] == "free":
-            _, a, b = seg
-            piece = free_transfer(xi, a, b)
-        else:
-            _, a, b, k = seg
-            c = V.centers[k]
-            lam = V.amplitudes[k]
-            la, lb = a - c, b - c
-            if _is_full_bump(la, lb):
-                piece = TransferMatrix(
-                    _bump_matrix(V.profile, lam, xi, steps), a, b,
-                    _det_budget_for_steps(steps),
-                )
-            else:
-                local = bump_transfer_partial(V.profile, lam, xi, la, lb, steps)
-                piece = TransferMatrix(local.entries, a, b, local.det_budget)
-        T = piece.after(T)
-    return T
+    T = np.eye(2, dtype=complex if isinstance(xi, complex) else float)
+    for piece, _ in _piece_maps(V, xi, 0.0, x, steps):
+        T = piece @ T
+    return TransferMatrix(T, 0.0, float(x))
 
 
 # -- variation of parameters -------------------------------------------------
@@ -494,8 +476,8 @@ def propagate_extended(
 ) -> ExtendedState:
     """Evolve (u, u', du/dxi, du'/dxi) to target for real xi.
 
-    The derivative pair obeys v'' = (V - xi) v - u; across free gaps the
-    closed-form xi-derivative of the free transfer matrix is used.
+    The derivative pair obeys v'' = (V - xi) v - u; each piece maps it by
+    (T, dT/dxi) as (v, v') -> T (v, v') + dT/dxi (u, u').
     """
     steps = _steps_or_default(steps)
     xi = _as_scalar(xi)
@@ -503,31 +485,11 @@ def propagate_extended(
         raise ValueError("extended propagation is defined for real xi only")
     if target < ext.x:
         raise ValueError("propagation target must not precede the current position")
-    u, du, v, dv = float(ext.u), float(ext.du), float(ext.u_xi), float(ext.du_xi)
-    for seg in segments(V, ext.x, target):
-        if seg[0] == "free":
-            _, a, b = seg
-            T = free_transfer(xi, a, b).entries
-            D = free_transfer_dxi(xi, a, b)
-            u2 = T[0, 0] * u + T[0, 1] * du
-            du2 = T[1, 0] * u + T[1, 1] * du
-            v2 = T[0, 0] * v + T[0, 1] * dv + D[0, 0] * u + D[0, 1] * du
-            dv2 = T[1, 0] * v + T[1, 1] * dv + D[1, 0] * u + D[1, 1] * du
-            u, du, v, dv = u2, du2, v2, dv2
-        else:
-            _, a, b, k = seg
-            c = V.centers[k]
-            lam = V.amplitudes[k]
-            la, lb = a - c, b - c
-            if _is_full_bump(la, lb):
-                nodes, mids = _profile_samples(V.profile, steps)
-                h = 1.0 / steps
-            else:
-                nodes, mids, h = _partial_samples(V.profile, la, lb, steps)
-            y = np.array([u, du, v, dv], dtype=float)
-            y = _rk4_wsystem(_extended_rhs(lam, xi), nodes, mids, h, y)
-            u, du, v, dv = y
-    return ExtendedState(u, du, v, dv, float(target))
+    y = np.array([ext.u, ext.du], dtype=float)
+    v = np.array([ext.u_xi, ext.du_xi], dtype=float)
+    for T, D in _piece_maps(V, xi, ext.x, target, steps):
+        y, v = T @ y, T @ v + D @ y
+    return ExtendedState(y[0], y[1], v[0], v[1], float(target))
 
 
 def extended_neumann(

@@ -20,6 +20,9 @@ from .config import DEFAULTS
 from .kernel import rho
 from .potential import PearsonPotential
 from .propagate import (
+    _as_scalar,
+    _bump_map,
+    _gauss_samples,
     _steps_or_default,
     extended_neumann,
     segments,
@@ -117,49 +120,60 @@ def phase(V: PearsonPotential, xi: float, L: float, *, steps: int | None = None)
 
     Writing u = r sin(theta), u' = r sqrt(xi) cos(theta), the angle obeys
     theta' = sqrt(xi) - (V/sqrt(xi)) sin(theta)^2, so it advances by exactly
-    sqrt(xi) * gap over free stretches and is integrated by RK4 over bumps.
-    Strictly increasing in xi; eigenvalues of the restricted operator sit
-    at theta = pi/2 (mod pi).
+    sqrt(xi) * gap over free stretches; across bumps it is read off the
+    bump transfer matrix. Strictly increasing in xi; eigenvalues of the
+    restricted operator sit at theta = pi/2 (mod pi).
     """
     steps = _steps_or_default(steps)
-    xi = float(xi)
-    if xi <= 0.0:
-        raise ValueError("the phase is defined for xi > 0")
+    xi = _as_scalar(xi)
+    if isinstance(xi, complex) or not xi > 0.0:
+        raise ValueError("the phase is defined for real xi > 0")
     if L < 0.0:
         raise ValueError("the phase is defined for L >= 0")
     s = math.sqrt(xi)
+    sigma = max(1.0, s)
     theta = 0.5 * math.pi
     for seg in segments(V, 0.0, L):
         if seg[0] == "free":
-            _, a, b = seg
-            theta += s * (b - a)
+            theta += s * (seg[2] - seg[1])
         else:
             _, a, b, k = seg
             c = V.centers[k]
-            lam = V.amplitudes[k]
-            theta = _phase_across_bump(
-                V.profile.evaluate, lam, s, theta, a - c, b - c, steps
-            )
+            phi = _rescale_angle(theta, s, sigma)
+            phi = _bump_phase(V.profile, V.amplitudes[k], xi, sigma, phi, a - c, b - c, steps)
+            theta = _rescale_angle(phi, sigma, s)
     return theta
 
 
-def _phase_across_bump(W, lam, s, theta, la, lb, steps):
-    n = max(1, math.ceil(steps * (lb - la) - 1e-9))
-    h = (lb - la) / n
-    coef = lam / s
-    sin = math.sin
-    for i in range(n):
-        x0 = la + i * h
-        xm = x0 + 0.5 * h
-        w0 = coef * W(x0)
-        wm = coef * W(xm)
-        w1 = coef * W(x0 + h)
-        k1 = s - w0 * sin(theta) ** 2
-        k2 = s - wm * sin(theta + 0.5 * h * k1) ** 2
-        k3 = s - wm * sin(theta + 0.5 * h * k2) ** 2
-        k4 = s - w1 * sin(theta + h * k3) ** 2
-        theta += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return theta
+def _rescale_angle(theta: float, scale: float, new_scale: float) -> float:
+    """The angle with tan = new_scale * u / u' in the quadrant of the one
+    with tan = scale * u / u'."""
+    if scale == new_scale:
+        return theta
+    raw = math.atan2(new_scale * math.sin(theta), scale * math.cos(theta))
+    return theta + math.remainder(raw - theta, 2.0 * math.pi)
+
+
+def _bump_phase(profile, lam, xi, sigma, phi, la, lb, steps):
+    """Advance the angle of scale sigma across [la, lb] of one bump.
+
+    The transfer matrix fixes the angle modulo 2 pi. The branch comes from
+    the Prufer equation phi' = sigma cos^2 + ((xi - lam W)/sigma) sin^2,
+    whose integral over the piece lies within half_width of guess - phi;
+    a piece whose half-width is not below pi/2 is split in two. The scale
+    sigma = max(1, sqrt(xi)) keeps the half-width bounded as xi -> 0.
+    """
+    d = lb - la
+    int_w = _gauss_samples(profile, la, lb, steps)[3]
+    half_width = (abs(sigma * sigma - xi) * d + abs(lam) * int_w) / (2.0 * sigma)
+    if half_width >= 0.5 * math.pi:
+        mid = 0.5 * (la + lb)
+        phi = _bump_phase(profile, lam, xi, sigma, phi, la, mid, steps)
+        return _bump_phase(profile, lam, xi, sigma, phi, mid, lb, steps)
+    T, _ = _bump_map(profile, lam, xi, la, lb, steps)
+    u, du = T @ (math.sin(phi), sigma * math.cos(phi))
+    guess = phi + ((sigma * sigma + xi) * d - lam * int_w) / (2.0 * sigma)
+    return guess + math.remainder(math.atan2(sigma * u, du) - guess, 2.0 * math.pi)
 
 
 def eigenvalue_count(V: PearsonPotential, xi: float, L: float, *, steps: int | None = None) -> int:

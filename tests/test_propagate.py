@@ -62,6 +62,11 @@ class TestBumpTransfer:
         B = pl.bump_transfer(pl.canonical_bump(), 0.7, 1.3)
         assert B.det() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("lam, xi", [(0.7, 1.3), (4.0, 0.3)])
+    def test_unit_determinant_at_coarse_steps(self, lam, xi):
+        B = pl.bump_transfer(pl.canonical_bump(), lam, xi, 16)
+        assert abs(B.det() - 1.0) <= 1e-13
+
     def test_too_few_steps_rejected(self):
         with pytest.raises(ValueError):
             pl.bump_transfer(pl.canonical_bump(), 0.5, 1.0, 8)
@@ -282,3 +287,37 @@ class TestComplexStripBoundedness:
         large = sup_over(np.geomspace(1e3, 1e4, 25))
         assert np.isfinite(large)
         assert large <= small * 1.05
+
+
+_V = two_bump()
+_NAN = float("nan")
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pl.phase(_V, 1.0, _NAN),
+        lambda: pl.phase(_V, _NAN, 10.0),
+        lambda: pl.eigenvalue_count(_V, 1.0, _NAN),
+        lambda: pl.neumann_solution(_V, 1.0, _INF),
+        lambda: pl.neumann_solution(_V, _NAN, 10.0),
+        lambda: pl.extended_neumann(_V, 1.0, _INF),
+        lambda: pl.transfer_to(_V, complex(1.0, _NAN), 10.0),
+        lambda: pl.cd_quadrature(_V, 1.0, 1.1, _INF),
+        lambda: pl.cd_formula(_V, 1.0, _NAN, 10.0),
+        lambda: pl.PearsonPotential(pl.canonical_bump(), (_NAN,), (_NAN,)),
+        lambda: pl.PearsonPotential(pl.canonical_bump(), (_INF,), (10.0,)),
+        lambda: pl.PearsonPotential(pl.canonical_bump(), (0.5,), (_INF,)),
+    ],
+    ids=[
+        "phase-L", "phase-xi", "count-L", "neumann-x", "neumann-xi", "extended-x",
+        "transfer-xi", "quadrature-L", "formula-zeta", "potential-nan",
+        "potential-inf-amplitude", "potential-inf-center",
+    ],
+)
+def test_non_finite_input_rejected(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    # CLI error rows are CSV fields, which must not contain commas
+    assert "," not in str(info.value)

@@ -31,6 +31,14 @@ class TestPhase:
         with pytest.raises(ValueError):
             pl.phase(two_bump(), 0.0, 10.0)
 
+    def test_nondecreasing_down_to_tiny_energy(self):
+        # the bracketing floor of eigenvalues_near is 1e-14; the angle must
+        # keep its branch there, where sqrt(xi) is tiny against the bump
+        V = one_bump(0.5, 10.0)
+        grid = np.geomspace(1e-12, 10.0, 200)
+        thetas = [pl.phase(V, float(x), 50.0) for x in grid]
+        assert all(b >= a for a, b in zip(thetas, thetas[1:]))
+
     def test_continuity_across_bump_edge(self):
         V = one_bump(0.5, 10.0)
         xi = 1.3
@@ -202,3 +210,21 @@ class TestOracleEigenvalues:
         # Weyl-count comparison
         with pytest.warns(pl.ResolutionWarning):
             pl.oracle_eigenvalues(pl.zero_potential(), 200.0, 150, cutoff=4.0)
+
+    @pytest.mark.parametrize("lam", [40.0, -6.0])
+    def test_counts_agree_for_strong_bumps(self, lam):
+        # bumps this strong make the phase split the support to pin its branch
+        V = one_bump(lam, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", pl.ResolutionWarning)
+            for cutoff in (0.05, 0.5, 2.0, 4.0):
+                pl.oracle_eigenvalues(V, 50.0, 20000, cutoff=cutoff)
+
+    def test_bound_states_of_two_wells_counted(self):
+        # both wells hold a negative eigenvalue; the count at a tiny
+        # positive cutoff must see exactly those two
+        V = pl.PearsonPotential(pl.canonical_bump(), (-0.9, -0.45), (10.0, 30.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", pl.ResolutionWarning)
+            vals = pl.oracle_eigenvalues(V, 50.0, 20000, cutoff=1e-9)
+        assert len(vals) == 2
