@@ -24,6 +24,7 @@ from .potential import (
     PearsonPotential,
     PotentialSpec,
     empirical_hat_N,
+    parse_key_values,
     potential_spec_from_mapping,
 )
 from .spectrum import clock_statistics, density_of_states
@@ -113,24 +114,15 @@ class ExperimentConfig:
 
 
 def _parse_kv_file(path: str) -> dict[str, str]:
-    mapping: dict[str, str] = {}
     try:
         with open(path) as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key in mapping:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        mapping[key] = value.strip()
-    return mapping
+    try:
+        return parse_key_values(text, origin=f"{path}:")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _floats(text: str, key: str) -> tuple[float, ...]:

@@ -336,18 +336,30 @@ def potential_spec_from_mapping(mapping: dict[str, str]) -> PotentialSpec:
     return spec
 
 
-def parse_potential_config(text: str) -> PotentialSpec:
-    """Parse the documented key-value schema into a PotentialSpec."""
+def parse_key_values(text: str, origin: str = "line ") -> dict[str, str]:
+    """Parse `key = value` lines into a mapping.
+
+    '#' starts a comment and '-' in a key reads as '_'. A malformed line
+    or a repeated key raises ValueError located as origin + line number.
+    """
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{origin}{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    return potential_spec_from_mapping(mapping)
+        key = key.strip().replace("-", "_")
+        if key in mapping:
+            raise ValueError(f"{origin}{lineno}: duplicate key {key!r}")
+        mapping[key] = value.strip()
+    return mapping
+
+
+def parse_potential_config(text: str) -> PotentialSpec:
+    """Parse the documented key-value schema into a PotentialSpec."""
+    return potential_spec_from_mapping(parse_key_values(text))
 
 
 def format_potential_config(spec: PotentialSpec) -> str:

@@ -4,7 +4,11 @@ Eigenvalues of the operator on [0, L] with Neumann conditions at both
 ends are the zeros of u'(., L) for the Neumann solution u. They are
 located through a sqrt(xi)-scaled phase angle that rotates at exactly
 sqrt(xi) on potential-free stretches and crosses pi/2 (mod pi) at each
-eigenvalue, then polished with a derivative-based root step.
+eigenvalue: each crossing is bracketed and found by Brent's method on
+the phase, then polished by Newton steps on u'(., L).
+
+scipy is imported only inside oracle_eigenvalues, so importing this
+module stays cheap.
 """
 from __future__ import annotations
 
@@ -13,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .config import DEFAULTS
 from .kernel import rho
@@ -192,24 +194,69 @@ def _phase_slope(V: PearsonPotential, xi: float, L: float) -> float:
     return max(L / (2.0 * math.sqrt(xi)), 1e-12)
 
 
-def _refine_root(V, L, lo, hi, xi0, k_parity, steps):
-    """Polish one eigenvalue inside (lo, hi) to |u'| <= tol * scale.
+def _brent(f, lo, hi, flo, fhi, xtol, rtol, maxiter=100):
+    """Root of f in [lo, hi] by Brent's method, given flo = f(lo), fhi = f(hi).
+
+    A port of scipy's C brentq with the same iterates; the bracket ends
+    are not evaluated again. flo and fhi must not share a strict sign.
+    """
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo < 0.0) == (fhi < 0.0):
+        raise ValueError("Brent's method needs a sign change on the bracket")
+    xpre, xcur, fpre, fcur = lo, hi, flo, fhi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+
+
+def _refine_root(V, L, lo, hi, xi, k, steps):
+    """Polish the eigenvalue with phase index k inside (lo, hi) to
+    |u'| <= tol * scale.
 
     Newton steps on u'(., L) with the variational xi-derivative, falling
     back to bisection on the sign of (-1)^k u' whenever a step leaves the
-    bracket. k_parity is the parity of the phase index at the root.
+    bracket. Raises RuntimeError when 60 steps do not reach the tolerance
+    or the iteration stalls.
     """
-    sign = 1.0 if k_parity % 2 else -1.0
-    xi = xi0
-    best = (math.inf, xi0)
+    sign = 1.0 if k % 2 else -1.0
     for _ in range(60):
         ext = extended_neumann(V, xi, L, steps=steps)
         f = ext.du
         scale = math.sqrt(xi * ext.u * ext.u + f * f)
         if abs(f) <= DEFAULTS.root_rel_tol * scale:
             return xi
-        if abs(f) < best[0]:
-            best = (abs(f), xi)
         g = sign * f  # g < 0 below the root, > 0 above, near the root
         if g < 0.0:
             lo = max(lo, xi)
@@ -222,7 +269,7 @@ def _refine_root(V, L, lo, hi, xi0, k_parity, steps):
         if cand == xi:
             break
         xi = cand
-    return best[1]
+    raise RuntimeError(f"eigenvalue polish did not converge at L = {L} for phase index {k}")
 
 
 def eigenvalues_near(
@@ -237,9 +284,11 @@ def eigenvalues_near(
     """Eigenvalues with window indices n_min..n_max around xi_star.
 
     Brackets each eigenvalue by the monotone phase (one crossing of
-    pi/2 mod pi per bracket), then polishes with derivative-based root
-    steps. Ties follow xi_{-1} < xi_star <= xi_0. A window reaching
-    below the bottom of the spectrum comes back truncated.
+    pi/2 mod pi per bracket), finds the crossing by Brent's method on the
+    phase, then polishes it by Newton steps on u'(., L); a polish that
+    does not converge raises RuntimeError. Ties follow
+    xi_{-1} < xi_star <= xi_0. A window reaching below the bottom of the
+    spectrum comes back truncated.
     """
     if xi_star <= 0.0:
         raise ValueError("xi_star must be positive")
@@ -285,7 +334,7 @@ def eigenvalues_near(
                 raise RuntimeError("failed to bracket an eigenvalue from below")
         if glo > 0.0:
             raise _BelowBottom()
-        root = brentq(g, lo, hi, xtol=1e-13 * max(1.0, xi_star), rtol=1e-15)
+        root = _brent(g, lo, hi, glo, ghi, xtol=1e-13 * max(1.0, xi_star), rtol=1e-15)
         return _refine_root(V, L, lo, hi, root, k, steps_v)
 
     values: dict[int, float] = {}
@@ -404,6 +453,8 @@ def oracle_eigenvalues(
     this keeps the boundary error at O(h^2). Emits a ResolutionWarning
     when the eigenvalue count disagrees with the phase-based count.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = int(grid_points)
     if n < 100:
         raise ValueError("the oracle grid needs at least 100 points")

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,6 +33,20 @@ class TestClockCommand:
             expected = (2 * j + 1) * math.pi / 200.0
             assert float(row[4]) == pytest.approx(expected, rel=1e-9)
             assert row[6] == "ok"
+
+    def test_unconverged_polish_gives_error_row(self, tmp_path, monkeypatch):
+        from pearsonlab import Settings, spectrum
+
+        monkeypatch.setattr(spectrum, "DEFAULTS", Settings(root_rel_tol=0.0))
+        out = tmp_path / "clock.csv"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("amplitude_values = 0.5\ncenter_values = 10\n")
+        code = main(["clock", "--config", str(cfg), "--out", str(out), "--l-grid", "50",
+                     "--depth", "1"])
+        assert code == 1
+        _, rows = read_csv(str(out))
+        assert len(rows) == 1
+        assert rows[0][6].startswith("error: eigenvalue polish did not converge")
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -180,6 +196,23 @@ class TestHatnCommand:
         assert code == 1
         _, rows = read_csv(str(out))
         assert rows[0][6].startswith("error")
+
+
+class TestImport:
+    def test_package_import_loads_no_scipy(self):
+        import pearsonlab
+
+        src = os.path.dirname(os.path.dirname(pearsonlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, pearsonlab, pearsonlab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestSeedlessFlag:

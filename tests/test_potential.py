@@ -257,3 +257,13 @@ class TestConfigRoundTrip:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_potential_config("profile = canonical\nnonsense line\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ValueError, match="line 2: duplicate key 'count'"):
+            parse_potential_config("count = 3\ncount = 5\n")
+
+    def test_hyphenated_key_read_as_underscore(self):
+        spec = parse_potential_config(
+            "amplitude-rule = power\ncenter-rule = geometric\ncenter-n1 = 20\ncount = 2\n"
+        )
+        assert spec.build().centers == (20.0, 200.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pearsonlab as pl
+from pearsonlab import spectrum
 
 from util import one_bump, two_bump
 
@@ -104,6 +105,12 @@ class TestEigenvaluesNear:
         assert w.truncated
         assert w.n_min > -5
 
+    def test_unconverged_polish_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "DEFAULTS", pl.Settings(root_rel_tol=0.0))
+        with pytest.raises(RuntimeError, match="phase index") as info:
+            pl.eigenvalues_near(one_bump(0.5, 10.0), 50.0, 1.0, -1, 1)
+        assert "," not in str(info.value)
+
     def test_interlacing_with_counting_function(self):
         V = one_bump(0.5, 10.0)
         w = pl.eigenvalues_near(V, 50.0, 1.0, -3, 3)
@@ -111,6 +118,49 @@ class TestEigenvaluesNear:
             left = pl.eigenvalue_count(V, w.value(n) * (1 + 1e-9), 50.0)
             right = pl.eigenvalue_count(V, w.value(n + 1) * (1 + 1e-9), 50.0)
             assert right - left == 1
+
+
+class TestBrent:
+    @pytest.mark.parametrize("L", [1e2, 1e5])
+    def test_bit_identical_to_scipy_brentq(self, L):
+        from scipy.optimize import brentq
+
+        V = one_bump(0.5, 10.0)
+        xtol = 1e-13
+        theta = pl.phase(V, 1.0, L)
+        k = math.ceil((theta - 0.5 * math.pi) / math.pi)
+        spacing = 2.0 * math.pi / L
+        for target in (0.5 * math.pi + k * math.pi, 0.5 * math.pi + (k + 3) * math.pi):
+            def g(x):
+                return pl.phase(V, x, L) - target
+
+            lo, hi = 1.0 - spacing, 1.0 + 5.0 * spacing
+            assert g(lo) < 0.0 < g(hi)
+            ours = spectrum._brent(g, lo, hi, g(lo), g(hi), xtol, 1e-15)
+            assert ours == brentq(g, lo, hi, xtol=xtol, rtol=1e-15)
+
+    def test_zero_at_an_end_returned_exactly(self):
+        def f(x):
+            raise AssertionError("no evaluation expected")
+
+        assert spectrum._brent(f, 0.25, 2.0, 0.0, 1.0, 1e-13, 1e-15) == 0.25
+        assert spectrum._brent(f, 0.25, 2.0, -1.0, 0.0, 1e-13, 1e-15) == 2.0
+
+    def test_maxiter_exceeded_raises(self):
+        with pytest.raises(RuntimeError, match="did not converge") as info:
+            spectrum._brent(lambda x: x**3 - 2.0, 0.0, 2.0, -2.0, 6.0, 1e-15, 1e-15, maxiter=2)
+        assert "," not in str(info.value)
+
+    def test_bracket_ends_not_evaluated_again(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x**3 - 2.0
+
+        root = spectrum._brent(f, 0.0, 2.0, -2.0, 6.0, 1e-15, 1e-15)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
+        assert calls and 0.0 not in calls and 2.0 not in calls
 
 
 class TestClockStatistics:
