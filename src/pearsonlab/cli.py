@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .potential import (
     PearsonPotential,
     PotentialSpec,
     empirical_hat_N,
+    float_list,
     parse_key_values,
     potential_spec_from_mapping,
 )
@@ -125,13 +125,6 @@ def _parse_kv_file(path: str) -> dict[str, str]:
         raise ConfigError(str(exc)) from exc
 
 
-def _floats(text: str, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p.strip()) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from exc
-
-
 def config_from_mapping(kind: str, mapping: dict[str, str]) -> ExperimentConfig:
     cfg = ExperimentConfig(kind=kind)
     pot_keys = {k: v for k, v in mapping.items() if k in POTENTIAL_KEYS}
@@ -145,9 +138,9 @@ def config_from_mapping(kind: str, mapping: dict[str, str]) -> ExperimentConfig:
             continue
         try:
             if key in ("xi_grid", "l_grid", "a_grid", "b_grid"):
-                setattr(cfg, key, _floats(value, key))
+                setattr(cfg, key, float_list(value))
             elif key == "interval":
-                vals = _floats(value, key)
+                vals = float_list(value)
                 if len(vals) != 2:
                     raise ConfigError("interval needs exactly two endpoints")
                 cfg.interval = (vals[0], vals[1])
@@ -292,6 +285,9 @@ def _run_task(item):
 def _execute(tasks, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         return [_run_task(t) for t in tasks]
+    # imported here: concurrent.futures.process pulls in multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, tasks))
 
@@ -483,10 +479,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _grid(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pearsonlab",
@@ -497,21 +489,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="kernel ratio sweep against the sinc target")
     _add_common(p)
-    p.add_argument("--xi-grid", type=_grid, dest="xi_grid")
-    p.add_argument("--l-grid", type=_grid, dest="l_grid")
-    p.add_argument("--a-grid", type=_grid, dest="a_grid")
-    p.add_argument("--b-grid", type=_grid, dest="b_grid")
+    p.add_argument("--xi-grid", type=float_list, dest="xi_grid")
+    p.add_argument("--l-grid", type=float_list, dest="l_grid")
+    p.add_argument("--a-grid", type=float_list, dest="a_grid")
+    p.add_argument("--b-grid", type=float_list, dest="b_grid")
 
     p = sub.add_parser("clock", help="eigenvalue spacing statistics around xi_star")
     _add_common(p)
-    p.add_argument("--l-grid", type=_grid, dest="l_grid")
+    p.add_argument("--l-grid", type=float_list, dest="l_grid")
     p.add_argument("--xi-star", type=float, dest="xi_star")
     p.add_argument("--depth", type=int)
 
     p = sub.add_parser("dos", help="density of states histogram against the free law")
     _add_common(p)
-    p.add_argument("--l-grid", type=_grid, dest="l_grid")
-    p.add_argument("--interval", type=_grid)
+    p.add_argument("--l-grid", type=float_list, dest="l_grid")
+    p.add_argument("--interval", type=float_list)
     p.add_argument("--bins", type=int)
 
     p = sub.add_parser("verify", help="run quantitative bound probes")
@@ -529,13 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ell", type=int)
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--window", type=_grid, dest="interval")
+    p.add_argument("--window", type=float_list, dest="interval")
     p.add_argument("--ab-bound", type=float, dest="ab_bound")
 
     p = sub.add_parser("reproduce", help="run the built-in desk-scale pipeline")
     p.add_argument("--outdir", default="reproduce_out")
     p.add_argument("--workers", type=int)
-    p.add_argument("--l-grid", type=_grid, dest="l_grid")
+    p.add_argument("--l-grid", type=float_list, dest="l_grid")
     p.add_argument("--steps-per-bump", type=int, dest="steps_per_bump")
     p.add_argument("--seedless", action="store_true", help="reserved; runs are deterministic")
     return parser

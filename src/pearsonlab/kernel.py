@@ -277,6 +277,14 @@ def kernel_ratio(
     return num / den
 
 
+def _kappa_value(Vt: PearsonPotential, xi: float, x: float, steps: int | None) -> float:
+    """(a1_tilde^2 + a2_tilde^2)/2 of the already truncated potential Vt at x."""
+    if xi <= 0.0:
+        raise ValueError("kappa requires xi > 0")
+    coeffs = variation_coeffs(Vt, xi, x, steps=steps)
+    return float(0.5 * (coeffs.a1_tilde**2 + coeffs.a2_tilde**2))
+
+
 def kappa(
     V: PearsonPotential, ell: int, xi: float, x: float, *, steps: int | None = None
 ) -> Kappa:
@@ -285,11 +293,7 @@ def kappa(
     Constant in x beyond the last kept bump; always strictly positive.
     """
     xi = float(xi)
-    if xi <= 0.0:
-        raise ValueError("kappa requires xi > 0")
-    coeffs = variation_coeffs(V.truncate(ell), xi, x, steps=steps)
-    value = 0.5 * (coeffs.a1_tilde**2 + coeffs.a2_tilde**2)
-    return Kappa(int(ell), xi, float(x), float(value))
+    return Kappa(int(ell), xi, float(x), _kappa_value(V.truncate(ell), xi, x, steps))
 
 
 def kappa_ratio(
@@ -308,7 +312,7 @@ def kappa_ratio(
     if re_a <= 0.0 or re_b <= 0.0:
         raise ValueError("shifted arguments must stay in the right half-plane")
     num = cd_formula(Vt, alpha, beta, x, steps=steps).value
-    den = x * kappa(V, ell, xi, x, steps=steps).value
+    den = x * _kappa_value(Vt, xi, x, steps)
     return num / den
 
 
@@ -332,10 +336,11 @@ def kappa_ratio_gap(
     alpha = _as_scalar(xi + a / x)
     beta = _as_scalar(xi + b / x)
 
-    s_lo = cd_formula(V.truncate(ell), alpha, beta, x, steps=steps).value
-    s_hi = cd_formula(V.truncate(ell + 1), alpha, beta, x, steps=steps).value
-    k_lo = kappa(V, ell, xi, x, steps=steps).value
-    k_hi = kappa(V, ell + 1, xi, x, steps=steps).value
+    V_lo, V_hi = V.truncate(ell), V.truncate(ell + 1)
+    s_lo = cd_formula(V_lo, alpha, beta, x, steps=steps).value
+    s_hi = cd_formula(V_hi, alpha, beta, x, steps=steps).value
+    k_lo = _kappa_value(V_lo, xi, x, steps)
+    k_hi = _kappa_value(V_hi, xi, x, steps)
 
     r_lo = s_lo / (x * k_lo)
     r_hi = s_hi / (x * k_hi)

@@ -310,27 +310,40 @@ class PotentialSpec:
         raise ValueError(f"unknown center_rule {self.center_rule!r}")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    return tuple(float(p) for p in items)
+def float_list(text: str) -> tuple[float, ...]:
+    """The floats of a comma-separated list; empty entries are skipped."""
+    return tuple(float(p) for p in text.split(",") if p.strip())
 
 
 def potential_spec_from_mapping(mapping: dict[str, str]) -> PotentialSpec:
-    """Build a PotentialSpec from already-parsed key/value pairs."""
+    """Build a PotentialSpec from already-parsed key/value pairs.
+
+    A value that does not convert raises ValueError naming its key.
+    """
     unknown = set(mapping) - POTENTIAL_KEYS
     if unknown:
         raise ValueError(f"unknown potential keys: {sorted(unknown)}")
+
+    def get(key, convert, default):
+        if key not in mapping:
+            return default
+        try:
+            return convert(mapping[key])
+        except ValueError as exc:
+            raise ValueError(f"key {key!r}: {exc}") from exc
+
+    amplitudes = get("amplitude_values", float_list, ())
     spec = PotentialSpec(
         profile=mapping.get("profile", "canonical"),
         amplitude_rule=mapping.get("amplitude_rule", "list"),
-        amplitude_values=_parse_floats(mapping.get("amplitude_values", "")),
-        amplitude_c=float(mapping.get("amplitude_c", 1.0)),
-        amplitude_p=float(mapping.get("amplitude_p", 0.25)),
+        amplitude_values=amplitudes,
+        amplitude_c=get("amplitude_c", float, 1.0),
+        amplitude_p=get("amplitude_p", float, 0.25),
         center_rule=mapping.get("center_rule", "list"),
-        center_values=_parse_floats(mapping.get("center_values", "")),
-        center_n1=float(mapping.get("center_n1", 10.0)),
-        center_gamma=float(mapping.get("center_gamma", 10.0)),
-        count=int(mapping.get("count", len(_parse_floats(mapping.get("amplitude_values", ""))))),
+        center_values=get("center_values", float_list, ()),
+        center_n1=get("center_n1", float, 10.0),
+        center_gamma=get("center_gamma", float, 10.0),
+        count=get("count", int, len(amplitudes)),
     )
     spec.build()  # validate eagerly
     return spec

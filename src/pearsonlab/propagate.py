@@ -4,10 +4,14 @@ Solutions of -u'' + V u = xi u are evolved exactly (closed-form transfer
 matrices) across potential-free gaps and by a fixed-step fourth-order
 Magnus map across bump supports. Each Magnus step is a closed-form 2x2
 exponential of a trace-free matrix, so bump maps keep det = 1 to
-rounding and come with their xi-derivative in closed form. Every walker
-is a fold of the per-piece maps (T, dT/dxi) over segments(). Everything
-here is a pure function of immutable inputs and bitwise deterministic
-for a fixed step configuration.
+rounding and come with their xi-derivative in closed form; the steps of
+a map are folded together as 4x4 block-triangular products that carry T
+and dT/dxi at once. Every walker is a fold of the per-piece maps
+(T, dT/dxi) over segments(). Full-bump maps and Neumann endpoints
+(neumann_solution) are cached, so a sweep that revisits the same
+(V, xi, x) propagates it once. Everything here is a pure function of
+immutable inputs and bitwise deterministic for a fixed step
+configuration.
 """
 from __future__ import annotations
 
@@ -254,17 +258,20 @@ def _exp_coeffs(m):
 
     All three are entire in m; small |m| takes their Taylor series, which
     also avoids the cancellation in the closed form of the derivative.
+    The series is evaluated everywhere, the closed form only where
+    |m| >= _EXP_SERIES_CUT.
     """
-    small = np.abs(m) < _EXP_SERIES_CUT
-    safe = np.where(small, 1.0, m)
-    r = np.sqrt(safe.astype(complex))
-    ch, sh = np.cosh(r), np.sinh(r) / r
-    if not np.iscomplexobj(m):
-        ch, sh = ch.real, sh.real
-    dsh = np.where(small, (1.0 + m / 10 * (1.0 + m / 28 * (1.0 + m / 54))) / 6.0,
-                   (ch - sh) / (2.0 * safe))
-    ch = np.where(small, 1.0 + m / 2 * (1.0 + m / 12 * (1.0 + m / 30 * (1.0 + m / 56))), ch)
-    sh = np.where(small, 1.0 + m / 6 * (1.0 + m / 20 * (1.0 + m / 42 * (1.0 + m / 72))), sh)
+    ch = 1.0 + m / 2 * (1.0 + m / 12 * (1.0 + m / 30 * (1.0 + m / 56)))
+    sh = 1.0 + m / 6 * (1.0 + m / 20 * (1.0 + m / 42 * (1.0 + m / 72)))
+    dsh = (1.0 + m / 10 * (1.0 + m / 28 * (1.0 + m / 54))) / 6.0
+    big = np.abs(m) >= _EXP_SERIES_CUT
+    if big.any():
+        mb = m[big]
+        r = np.sqrt(mb.astype(complex))
+        chb, shb = np.cosh(r), np.sinh(r) / r
+        if not np.iscomplexobj(m):
+            chb, shb = chb.real, shb.real
+        ch[big], sh[big], dsh[big] = chb, shb, (chb - shb) / (2.0 * mb)
     return ch, sh, dsh
 
 
@@ -277,7 +284,10 @@ def _magnus_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, step
     and exp(Omega) = cosh(mu) I + (sinh(mu)/mu) Omega with mu^2 = c^2 + h^2 qbar.
     Omega is trace free, so every step has unit determinant up to rounding;
     dOmega/dxi = [[0, 0], [-h, 0]] gives the step derivative in closed form.
-    The steps are multiplied in a balanced tree, earlier steps on the right.
+    Each step S is stored as the 4x4 block [[S, 0], [dS/dxi, S]]; by the
+    product rule the lower-left block of a product of such blocks is the
+    derivative of the product, so one matmul per level of a balanced tree
+    (earlier steps on the right) folds T and dT/dxi together.
     """
     w1, w2, h, _ = _gauss_samples(profile, la, lb, steps)
     c = (math.sqrt(3.0) / 12.0 * h * h * lam) * (w1 - w2)
@@ -286,18 +296,21 @@ def _magnus_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, step
     # d(mu^2)/dxi = -h^2 and d cosh(mu) / d(mu^2) = sinh(mu) / (2 mu)
     dch = -0.5 * h * h * sh
     dsh = -h * h * dsh
-    T = np.array([[ch + sh * c, sh * h], [sh * h * qbar, ch - sh * c]])
-    D = np.array([[dch + dsh * c, dsh * h], [dsh * h * qbar - sh * h, dch - dsh * c]])
-    T, D = np.moveaxis(T, -1, 0), np.moveaxis(D, -1, 0)
-    while len(T) > 1:
-        if len(T) % 2:
-            T = np.concatenate((T, np.eye(2)[None]))
-            D = np.concatenate((D, np.zeros((1, 2, 2))))
-        D = D[1::2] @ T[0::2] + T[1::2] @ D[0::2]
-        T = T[1::2] @ T[0::2]
-    for a in (T, D):
-        a.setflags(write=False)
-    return T[0], D[0]
+    M = np.zeros((len(c), 4, 4), dtype=ch.dtype)
+    M[:, 0, 0] = M[:, 2, 2] = ch + sh * c
+    M[:, 0, 1] = M[:, 2, 3] = sh * h
+    M[:, 1, 0] = M[:, 3, 2] = sh * h * qbar
+    M[:, 1, 1] = M[:, 3, 3] = ch - sh * c
+    M[:, 2, 0] = dch + dsh * c
+    M[:, 2, 1] = dsh * h
+    M[:, 3, 0] = dsh * h * qbar - sh * h
+    M[:, 3, 1] = dch - dsh * c
+    while len(M) > 1:
+        if len(M) % 2:
+            M = np.concatenate((M, np.eye(4)[None]))
+        M = M[1::2] @ M[0::2]
+    M.setflags(write=False)
+    return M[0, :2, :2], M[0, 2:, :2]
 
 
 @lru_cache(maxsize=8192)
@@ -403,9 +416,20 @@ def propagate_to(
 def neumann_solution(
     V: PearsonPotential, xi, x: float, *, steps: int | None = None
 ) -> SolutionState:
-    """Solution with u(0) = 1, u'(0) = 0 evaluated at x."""
+    """Solution with u(0) = 1, u'(0) = 0 evaluated at x.
+
+    Results are cached per (V, xi, x, steps) after normalising the key,
+    so numpy and plain scalars, and steps=None and the default count,
+    share one entry.
+    """
+    x = float(x)
     if x < 0.0:
         raise ValueError("the solution lives on the half-line")
+    return _neumann_state(V, _as_scalar(xi), x, _steps_or_default(steps))
+
+
+@lru_cache(maxsize=4096)
+def _neumann_state(V: PearsonPotential, xi, x: float, steps: int) -> SolutionState:
     return propagate_to(V, xi, x, SolutionState(1.0, 0.0, 0.0), steps=steps)
 
 

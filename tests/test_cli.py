@@ -125,6 +125,20 @@ class TestConfigRejection:
         assert code == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_bad_potential_list_entry_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("amplitude_values = 1, x\ncenter_values = 10, 100\n")
+        code = main(["clock", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "key 'amplitude_values'" in capsys.readouterr().err
+
+    def test_bad_grid_entry_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("l_grid = 100, x\n")
+        code = main(["clock", "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "key 'l_grid'" in capsys.readouterr().err
+
     def test_decreasing_l_grid_rejected(self, tmp_path):
         code = main([
             "clock", "--l-grid", "100,50", "--out", str(tmp_path / "x.csv"),
@@ -207,6 +221,22 @@ class TestImport:
         code = (
             "import sys, pearsonlab, pearsonlab.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_process_pool(self):
+        import pearsonlab
+
+        src = os.path.dirname(os.path.dirname(pearsonlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, pearsonlab.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('concurrent.futures', 'multiprocessing'))))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

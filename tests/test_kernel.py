@@ -248,6 +248,22 @@ class TestKappaRatio:
         assert sups[1] <= sups[0] * 1.1
         assert sups[2] <= sups[1] * 1.1
 
+    def test_truncates_once_with_unchanged_value(self, monkeypatch):
+        V, x = two_bump(), 1e3
+        expected = pl.cd_formula(V.truncate(1), 1.0 + 0.5 / x, 1.0 - 0.5 / x, x).value / (
+            x * pl.kappa(V, 1, 1.0, x).value
+        )
+        calls = []
+        original = pl.PearsonPotential.truncate
+
+        def counting(self, ell):
+            calls.append(ell)
+            return original(self, ell)
+
+        monkeypatch.setattr(pl.PearsonPotential, "truncate", counting)
+        assert pl.kappa_ratio(V, 1, 1.0, 0.5, -0.5, x) == expected
+        assert calls == [1]
+
 
 class TestKappaRatioGap:
     def _potential(self, lam3=0.01):

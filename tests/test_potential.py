@@ -258,6 +258,10 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="line 2"):
             parse_potential_config("profile = canonical\nnonsense line\n")
 
+    def test_bad_list_entry_names_key(self):
+        with pytest.raises(ValueError, match="key 'amplitude_values'"):
+            parse_potential_config("amplitude_values = 1, x\ncenter_values = 10, 100\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: duplicate key 'count'"):
             parse_potential_config("count = 3\ncount = 5\n")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import pearsonlab as pl
-from pearsonlab.propagate import DeterminantDriftError
+from pearsonlab.config import DEFAULTS
+from pearsonlab.propagate import DeterminantDriftError, _magnus_map, _neumann_state
 
 from util import monolithic_rk4, one_bump, two_bump
 
@@ -86,6 +87,98 @@ class TestBumpTransfer:
         d32 = np.linalg.norm(pl.bump_transfer(pl.canonical_bump(), 0.7, 1.3, 32).entries - ref, 2)
         d64 = np.linalg.norm(pl.bump_transfer(pl.canonical_bump(), 0.7, 1.3, 64).entries - ref, 2)
         assert d32 / d64 >= 8.0
+
+
+class TestMagnusFold:
+    """The block fold of _magnus_map against an independent sequential fold."""
+
+    @staticmethod
+    def sequential(lam, xi, la, lb, steps):
+        # per-step (S, dS/dxi) from scipy's expm of the 4x4 block
+        # [[Omega, dOmega/dxi], [0, Omega]], folded one step at a time
+        from scipy.linalg import expm
+
+        profile = pl.canonical_bump()
+        n = math.ceil(steps * (lb - la) - 1e-9)
+        h = (lb - la) / n
+        g1, g2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+        dtype = complex if isinstance(xi, complex) else float
+        T, D = np.eye(2, dtype=dtype), np.zeros((2, 2), dtype=dtype)
+        for i in range(n):
+            q1 = lam * profile.evaluate(la + (i + g1) * h) - xi
+            q2 = lam * profile.evaluate(la + (i + g2) * h) - xi
+            c = math.sqrt(3.0) / 12.0 * h * h * (q1 - q2)
+            omega = np.array([[c, h], [h * 0.5 * (q1 + q2), -c]], dtype=dtype)
+            block = np.zeros((4, 4), dtype=dtype)
+            block[:2, :2] = block[2:, 2:] = omega
+            block[1, 2] = -h
+            E = expm(block)
+            S, dS = E[:2, :2], E[:2, 2:]
+            T, D = S @ T, dS @ T + S @ D
+        return T, D
+
+    @pytest.mark.parametrize(
+        "lam, xi, la, lb, steps",
+        [
+            (0.7, 1.3, 0.1, 0.77, 64),  # n = 43 steps: odd counts pad the tree
+            (0.7, complex(1.3, 0.4), 0.1, 0.77, 64),
+            (0.7, 50.0, 0.0, 1.0, 16),  # |mu^2| >= 1e-2: closed-form exponential
+            (-3.0, 0.4, 0.0, 1.0, 512),
+        ],
+    )
+    def test_matches_sequential_fold(self, lam, xi, la, lb, steps):
+        T, D = _magnus_map(pl.canonical_bump(), lam, xi, la, lb, steps)
+        T_ref, D_ref = self.sequential(lam, xi, la, lb, steps)
+        assert np.abs(T - T_ref).max() <= 1e-13 * np.abs(T_ref).max()
+        assert np.abs(D - D_ref).max() <= 1e-13 * np.abs(D_ref).max()
+
+    def test_derivative_matches_central_difference(self):
+        profile, lam, xi, h = pl.canonical_bump(), 0.7, 1.3, 1e-5
+        _, D = _magnus_map(profile, lam, xi, 0.1, 0.77, 64)
+        up, _ = _magnus_map(profile, lam, xi + h, 0.1, 0.77, 64)
+        dn, _ = _magnus_map(profile, lam, xi - h, 0.1, 0.77, 64)
+        fd = (up - dn) / (2.0 * h)
+        assert np.abs(D - fd).max() <= 1e-8 * np.abs(D).max()
+
+
+class TestNeumannCache:
+    def test_numpy_and_plain_xi_share_an_entry(self):
+        V = two_bump()
+        _neumann_state.cache_clear()
+        a = pl.neumann_solution(V, 1.25, 57.0)
+        b = pl.neumann_solution(V, np.float64(1.25), np.float64(57.0))
+        info = _neumann_state.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert b is a
+
+    def test_default_steps_share_an_entry(self):
+        V = two_bump()
+        _neumann_state.cache_clear()
+        a = pl.neumann_solution(V, 0.9, 120.0)
+        b = pl.neumann_solution(V, 0.9, 120.0, steps=DEFAULTS.steps_per_bump)
+        info = _neumann_state.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert b is a
+
+    @pytest.mark.parametrize("xi", [0.9, complex(0.9, 0.2)])
+    def test_cached_value_is_the_propagation(self, xi):
+        V = two_bump()
+        ref = pl.propagate_to(V, xi, 120.0, pl.SolutionState(1.0, 0.0, 0.0))
+        _neumann_state.cache_clear()
+        for _ in range(2):
+            s = pl.neumann_solution(V, xi, 120.0)
+            assert (s.u, s.du, s.x) == (ref.u, ref.du, ref.x)
+        assert np.iscomplexobj(s.u) == isinstance(xi, complex)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -1.0])
+    def test_bad_point_rejected(self, x):
+        with pytest.raises(ValueError):
+            pl.neumann_solution(two_bump(), 1.0, x)
+
+    @pytest.mark.parametrize("xi", [float("nan"), float("inf"), complex(1.0, float("inf"))])
+    def test_non_finite_xi_rejected(self, xi):
+        with pytest.raises(ValueError):
+            pl.neumann_solution(two_bump(), xi, 10.0)
 
 
 class TestPropagateTo:
