@@ -16,7 +16,9 @@ class Settings:
         when the matrix is constructed.
     root_rel_tol: relative tolerance for eigenvalue refinement; a root
         is accepted once |u'(xi, L)| drops below root_rel_tol times the
-        local solution scale sqrt(xi*u^2 + u'^2).
+        local solution scale sqrt(xi*u^2 + u'^2). That ratio is
+        |cos theta| for the phase theta, so |theta - target| <= root_rel_tol
+        implies it.
     """
 
     steps_per_bump: int = 512

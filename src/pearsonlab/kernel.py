@@ -259,6 +259,15 @@ def _diagonal_value(V: PearsonPotential, xi: float, L: float, steps: int | None)
 # -- normalized ratios ---------------------------------------------------------
 
 
+def _shifted(xi: float, a, b, x: float):
+    """The shifted arguments (xi + a/x, xi + b/x), both in the right half-plane."""
+    alpha = _as_scalar(xi + a / x)
+    beta = _as_scalar(xi + b / x)
+    if not (alpha.real > 0.0 and beta.real > 0.0):
+        raise ValueError("shifted arguments must stay in the right half-plane")
+    return alpha, beta
+
+
 def kernel_ratio(
     V: PearsonPotential, xi: float, a, b, L: float, *, steps: int | None = None
 ):
@@ -266,12 +275,7 @@ def kernel_ratio(
     xi = float(xi)
     if not L > 0.0:
         raise ValueError("the kernel needs L > 0")
-    alpha = _as_scalar(xi + a / L)
-    beta = _as_scalar(xi + b / L)
-    re_a = alpha.real if isinstance(alpha, complex) else alpha
-    re_b = beta.real if isinstance(beta, complex) else beta
-    if re_a <= 0.0 or re_b <= 0.0:
-        raise ValueError("shifted arguments must stay in the right half-plane")
+    alpha, beta = _shifted(xi, a, b, L)
     num = cd_formula(V, alpha, beta, L, steps=steps).value
     den = _diagonal_value(V, xi, float(L), steps)
     return num / den
@@ -305,12 +309,7 @@ def kappa_ratio(
     """
     Vt = V.truncate(ell)
     xi = float(xi)
-    alpha = _as_scalar(xi + a / x)
-    beta = _as_scalar(xi + b / x)
-    re_a = alpha.real if isinstance(alpha, complex) else alpha
-    re_b = beta.real if isinstance(beta, complex) else beta
-    if re_a <= 0.0 or re_b <= 0.0:
-        raise ValueError("shifted arguments must stay in the right half-plane")
+    alpha, beta = _shifted(xi, a, b, x)
     num = cd_formula(Vt, alpha, beta, x, steps=steps).value
     den = x * _kappa_value(Vt, xi, x, steps)
     return num / den
@@ -333,8 +332,7 @@ def kappa_ratio_gap(
     if not (lo <= x <= hi):
         raise ValueError(f"x = {x} outside the window [{lo}, {hi}]")
     xi = float(xi)
-    alpha = _as_scalar(xi + a / x)
-    beta = _as_scalar(xi + b / x)
+    alpha, beta = _shifted(xi, a, b, x)
 
     V_lo, V_hi = V.truncate(ell), V.truncate(ell + 1)
     s_lo = cd_formula(V_lo, alpha, beta, x, steps=steps).value

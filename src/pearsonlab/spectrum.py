@@ -4,8 +4,11 @@ Eigenvalues of the operator on [0, L] with Neumann conditions at both
 ends are the zeros of u'(., L) for the Neumann solution u. They are
 located through a sqrt(xi)-scaled phase angle that rotates at exactly
 sqrt(xi) on potential-free stretches and crosses pi/2 (mod pi) at each
-eigenvalue: each crossing is bracketed and found by Brent's method on
-the phase, then polished by Newton steps on u'(., L).
+eigenvalue. One walk returns the angle together with its exact xi-slope
+(from the norm integral int_0^L u^2), and each crossing is found by
+safeguarded Newton steps on the angle: Prufer-angle shooting as in
+Pryce, Numerical Solution of Sturm-Liouville Problems (OUP 1993), and
+SLEIGN2 (Bailey, Everitt and Zettl, ACM TOMS 27, 2001).
 
 scipy is imported only inside oracle_eigenvalues, so importing this
 module stays cheap.
@@ -26,7 +29,8 @@ from .propagate import (
     _bump_map,
     _gauss_samples,
     _steps_or_default,
-    extended_neumann,
+    free_transfer,
+    free_transfer_dxi,
     segments,
 )
 
@@ -55,6 +59,8 @@ class EigenvalueWindow:
 
     values[i] is the eigenvalue with window index n_min + i. truncated is
     set when the requested window reached below the bottom of the spectrum.
+    iterations[i] and residuals[i], when given, are the phase walks spent
+    on values[i] and its achieved |u'| / sqrt(xi u^2 + u'^2).
     """
 
     L: float
@@ -62,6 +68,8 @@ class EigenvalueWindow:
     n_min: int
     values: tuple[float, ...]
     truncated: bool = False
+    iterations: tuple[int, ...] = ()
+    residuals: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         for a, b in zip(self.values, self.values[1:]):
@@ -126,25 +134,51 @@ def phase(V: PearsonPotential, xi: float, L: float, *, steps: int | None = None)
     bump transfer matrix. Strictly increasing in xi; eigenvalues of the
     restricted operator sit at theta = pi/2 (mod pi).
     """
-    steps = _steps_or_default(steps)
     xi = _as_scalar(xi)
     if isinstance(xi, complex) or not xi > 0.0:
         raise ValueError("the phase is defined for real xi > 0")
     if L < 0.0:
         raise ValueError("the phase is defined for L >= 0")
+    return _phase_walk(V, xi, L, _steps_or_default(steps))[0]
+
+
+def _phase_walk(V: PearsonPotential, xi: float, L: float, steps: int):
+    """(theta, dtheta/dxi, cos theta) at L in one walk over segments(V, 0, L).
+
+    The Neumann pair y = (u, u') and its xi-derivative v = (u_xi, u'_xi)
+    ride along with the angle, each piece mapping them by its (T, dT/dxi);
+    after every piece all four are divided by |y|, which leaves their
+    ratios exact and keeps them from overflowing. From the final pair,
+    dtheta/dxi = [u u'/(2 sqrt(xi)) + sqrt(xi) (u' u_xi - u u'_xi)] / (xi u^2 + u'^2),
+    where u' u_xi - u u'_xi is the positive norm integral int_0^L u^2, and
+    cos theta = u' / sqrt(xi u^2 + u'^2) is read off the pair to full
+    relative precision.
+    """
     s = math.sqrt(xi)
     sigma = max(1.0, s)
     theta = 0.5 * math.pi
+    y = np.array([1.0, 0.0])
+    v = np.zeros(2)
     for seg in segments(V, 0.0, L):
         if seg[0] == "free":
-            theta += s * (seg[2] - seg[1])
+            _, a, b = seg
+            theta += s * (b - a)
+            T, D = free_transfer(xi, a, b).entries, free_transfer_dxi(xi, a, b)
+            y, v = T @ y, T @ v + D @ y
         else:
             _, a, b, k = seg
             c = V.centers[k]
             phi = _rescale_angle(theta, s, sigma)
-            phi = _bump_phase(V.profile, V.amplitudes[k], xi, sigma, phi, a - c, b - c, steps)
+            phi, y, v = _bump_phase(
+                V.profile, V.amplitudes[k], xi, sigma, phi, y, v, a - c, b - c, steps
+            )
             theta = _rescale_angle(phi, sigma, s)
-    return theta
+        r = math.hypot(y[0], y[1])
+        y, v = y / r, v / r
+    (u, du), (u_xi, du_xi) = y.tolist(), v.tolist()
+    r2 = xi * u * u + du * du
+    slope = (0.5 * u * du / s + s * (du * u_xi - u * du_xi)) / r2
+    return theta, slope, du / math.sqrt(r2)
 
 
 def _rescale_angle(theta: float, scale: float, new_scale: float) -> float:
@@ -156,8 +190,9 @@ def _rescale_angle(theta: float, scale: float, new_scale: float) -> float:
     return theta + math.remainder(raw - theta, 2.0 * math.pi)
 
 
-def _bump_phase(profile, lam, xi, sigma, phi, la, lb, steps):
-    """Advance the angle of scale sigma across [la, lb] of one bump.
+def _bump_phase(profile, lam, xi, sigma, phi, y, v, la, lb, steps):
+    """Advance the angle of scale sigma and the pairs (y, v) across [la, lb]
+    of one bump.
 
     The transfer matrix fixes the angle modulo 2 pi. The branch comes from
     the Prufer equation phi' = sigma cos^2 + ((xi - lam W)/sigma) sin^2,
@@ -170,12 +205,13 @@ def _bump_phase(profile, lam, xi, sigma, phi, la, lb, steps):
     half_width = (abs(sigma * sigma - xi) * d + abs(lam) * int_w) / (2.0 * sigma)
     if half_width >= 0.5 * math.pi:
         mid = 0.5 * (la + lb)
-        phi = _bump_phase(profile, lam, xi, sigma, phi, la, mid, steps)
-        return _bump_phase(profile, lam, xi, sigma, phi, mid, lb, steps)
-    T, _ = _bump_map(profile, lam, xi, la, lb, steps)
-    u, du = T @ (math.sin(phi), sigma * math.cos(phi))
+        phi, y, v = _bump_phase(profile, lam, xi, sigma, phi, y, v, la, mid, steps)
+        return _bump_phase(profile, lam, xi, sigma, phi, y, v, mid, lb, steps)
+    T, D = _bump_map(profile, lam, xi, la, lb, steps)
+    y, v = T @ y, T @ v + D @ y
     guess = phi + ((sigma * sigma + xi) * d - lam * int_w) / (2.0 * sigma)
-    return guess + math.remainder(math.atan2(sigma * u, du) - guess, 2.0 * math.pi)
+    phi = guess + math.remainder(math.atan2(sigma * y[0], y[1]) - guess, 2.0 * math.pi)
+    return phi, y, v
 
 
 def eigenvalue_count(V: PearsonPotential, xi: float, L: float, *, steps: int | None = None) -> int:
@@ -189,86 +225,53 @@ def eigenvalue_count(V: PearsonPotential, xi: float, L: float, *, steps: int | N
     return max(0, math.floor((theta - 0.5 * math.pi) / math.pi) + 1)
 
 
-def _phase_slope(V: PearsonPotential, xi: float, L: float) -> float:
-    # free-rotation estimate of d theta / d xi; adequate for bracketing
-    return max(L / (2.0 * math.sqrt(xi)), 1e-12)
+_FLOOR = 1e-14  # smallest energy probed; the free ground state sits at 0
 
 
-def _brent(f, lo, hi, flo, fhi, xtol, rtol, maxiter=100):
-    """Root of f in [lo, hi] by Brent's method, given flo = f(lo), fhi = f(hi).
+def _newton_root(V, L, k, guess, steps):
+    """The eigenvalue where theta(., L) crosses pi/2 + k pi, by Newton steps
+    on the angle with its exact slope, from guess.
 
-    A port of scipy's C brentq with the same iterates; the bracket ends
-    are not evaluated again. flo and fhi must not share a strict sign.
+    theta is strictly increasing, so every walk narrows a bracket (lo, hi)
+    around the root. Once the bracket is finite, a Newton step that leaves
+    it, or that is not at most half the step before the last one, is
+    replaced by bisection (the safeguard of rtsafe in Numerical Recipes).
+    Within one of the target the offset is taken as asin of the state's
+    cosine, which stays accurate however large theta is. A root is accepted
+    once |u'| <= root_rel_tol * sqrt(xi u^2 + u'^2). Returns the root, the
+    number of walks, the achieved residual and the slope at the root.
+    Raises _BelowBottom when theta exceeds the target at the floor 1e-14
+    and RuntimeError when the iterate stalls or 100 walks do not reach the
+    tolerance.
     """
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise ValueError("Brent's method needs a sign change on the bracket")
-    xpre, xcur, fpre, fcur = lo, hi, flo, fhi
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    target = 0.5 * math.pi + k * math.pi
+    sign = -1.0 if k % 2 else 1.0
+    lo, hi = 0.0, math.inf
+    step_old = step = math.inf
+    x = max(guess, _FLOOR)
+    for walks in range(1, 101):
+        theta, slope, cos_theta = _phase_walk(V, x, L, steps)
+        offset = theta - target
+        if abs(offset) < 1.0:
+            if abs(cos_theta) <= DEFAULTS.root_rel_tol:
+                return x, walks, abs(cos_theta), slope
+            offset = math.asin(-sign * cos_theta)
+        if offset < 0.0:
+            lo = x
+        elif x == _FLOOR:
+            raise _BelowBottom()
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
-
-
-def _refine_root(V, L, lo, hi, xi, k, steps):
-    """Polish the eigenvalue with phase index k inside (lo, hi) to
-    |u'| <= tol * scale.
-
-    Newton steps on u'(., L) with the variational xi-derivative, falling
-    back to bisection on the sign of (-1)^k u' whenever a step leaves the
-    bracket. Raises RuntimeError when 60 steps do not reach the tolerance
-    or the iteration stalls.
-    """
-    sign = 1.0 if k % 2 else -1.0
-    for _ in range(60):
-        ext = extended_neumann(V, xi, L, steps=steps)
-        f = ext.du
-        scale = math.sqrt(xi * ext.u * ext.u + f * f)
-        if abs(f) <= DEFAULTS.root_rel_tol * scale:
-            return xi
-        g = sign * f  # g < 0 below the root, > 0 above, near the root
-        if g < 0.0:
-            lo = max(lo, xi)
-        else:
-            hi = min(hi, xi)
-        step = -f / ext.du_xi if ext.du_xi != 0.0 else None
-        cand = xi + step if step is not None else None
-        if cand is None or not (lo < cand < hi):
+            hi = x
+        cand = x - offset / slope
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+        elif hi < math.inf and abs(x - cand) > 0.5 * step_old:
             cand = 0.5 * (lo + hi)
-        if cand == xi:
+        cand = max(cand, _FLOOR)
+        step_old, step = step, abs(x - cand)
+        if cand == x:
             break
-        xi = cand
+        x = cand
     raise RuntimeError(f"eigenvalue polish did not converge at L = {L} for phase index {k}")
 
 
@@ -283,92 +286,62 @@ def eigenvalues_near(
 ) -> EigenvalueWindow:
     """Eigenvalues with window indices n_min..n_max around xi_star.
 
-    Brackets each eigenvalue by the monotone phase (one crossing of
-    pi/2 mod pi per bracket), finds the crossing by Brent's method on the
-    phase, then polishes it by Newton steps on u'(., L); a polish that
-    does not converge raises RuntimeError. Ties follow
+    The eigenvalue with phase index k is the crossing of theta(., L)
+    through pi/2 + k pi. Each is found by Newton steps on the angle with
+    its exact xi-slope, kept inside the bracket that the monotone angle
+    gives (bisection when a step leaves it), from a start one local
+    spacing pi / (dtheta/dxi) away from its neighbour. A root is accepted
+    once |u'(xi, L)| <= root_rel_tol * sqrt(xi u^2 + u'^2), a ratio equal to
+    |cos theta|, so that |theta - target| <= root_rel_tol implies it; a
+    search that does not get there raises RuntimeError. iterations and
+    residuals of the window report the walks and the achieved ratio per
+    root. Ties follow
     xi_{-1} < xi_star <= xi_0. A window reaching below the bottom of the
     spectrum comes back truncated.
     """
-    if xi_star <= 0.0:
-        raise ValueError("xi_star must be positive")
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"L must be positive and finite (got {L!r})")
+    if not (math.isfinite(xi_star) and xi_star > 0.0):
+        raise ValueError("xi_star must be positive and finite")
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
-    steps_v = steps
-    floor = 1e-14
-    theta_star = phase(V, xi_star, L, steps=steps_v)
+    steps = _steps_or_default(steps)
+    theta_star, slope_star, _ = _phase_walk(V, float(xi_star), L, steps)
     t = (theta_star - 0.5 * math.pi) / math.pi
     # ties resolved at phase resolution: exact crossings give integer t
     k0 = math.ceil(t - 1e-9)
 
-    def local_spacing(x: float) -> float:
-        # free-rotation spacing estimate pi / (d theta / d xi) near x
-        return math.pi / _phase_slope(V, max(x, floor), L)
-
-    def locate(k: int, guess: float) -> float:
-        target = 0.5 * math.pi + k * math.pi
-
-        def g(x: float) -> float:
-            return phase(V, x, L, steps=steps_v) - target
-
-        guess = max(guess, floor)
-        width = 0.75 * local_spacing(guess)
-        lo = max(guess - width, floor)
-        hi = max(guess + width, 4.0 * floor)
-        glo = g(lo)
-        ghi = g(hi)
-        grow = 0
-        while glo > 0.0 and lo > 10.0 * floor:
-            hi, ghi = lo, glo
-            lo = max(lo - 2.0**grow * width, floor)
-            glo = g(lo)
-            grow += 1
-            if grow > 80:
-                raise RuntimeError("failed to bracket an eigenvalue from above")
-        while ghi < 0.0:
-            lo, glo = hi, ghi
-            hi = hi + 2.0**grow * width
-            ghi = g(hi)
-            grow += 1
-            if grow > 80:
-                raise RuntimeError("failed to bracket an eigenvalue from below")
-        if glo > 0.0:
-            raise _BelowBottom()
-        root = _brent(g, lo, hi, glo, ghi, xtol=1e-13 * max(1.0, xi_star), rtol=1e-15)
-        return _refine_root(V, L, lo, hi, root, k, steps_v)
-
-    values: dict[int, float] = {}
+    roots: dict[int, tuple] = {}
     truncated = False
-    prev = None
-    for n in range(max(0, n_min), n_max + 1):
-        k = k0 + n
-        if prev is not None:
-            guess = prev + local_spacing(prev)
-        else:
-            guess = xi_star + (k - t) * local_spacing(xi_star)
-        values[n] = prev = locate(k, guess)
-    prev = None
-    for n in range(min(-1, n_max), n_min - 1, -1):
-        k = k0 + n
-        if k < 0:
-            truncated = True
-            break
-        if prev is not None:
-            guess = prev - local_spacing(prev)
-        else:
-            guess = xi_star + (k - t) * local_spacing(xi_star)
-        try:
-            values[n] = prev = locate(k, guess)
-        except _BelowBottom:
-            truncated = True
-            break
-    ns = sorted(values)
+    searches = (
+        (range(max(0, n_min), n_max + 1), 1.0),  # upwards from xi_0
+        (range(min(-1, n_max), n_min - 1, -1), -1.0),  # downwards from xi_{-1}
+    )
+    for ns, direction in searches:
+        guess = None
+        for n in ns:
+            k = k0 + n
+            if k < 0:
+                truncated = True
+                break
+            if guess is None:
+                guess = xi_star + (k - t) * math.pi / slope_star
+            try:
+                roots[n] = _newton_root(V, L, k, guess, steps)
+            except _BelowBottom:
+                truncated = True
+                break
+            root, _, _, slope = roots[n]
+            guess = root + direction * math.pi / slope
+    ns = sorted(roots)
     return EigenvalueWindow(
         L=float(L),
         xi_star=float(xi_star),
         n_min=ns[0],
-        values=tuple(values[n] for n in ns),
+        values=tuple(roots[n][0] for n in ns),
         truncated=truncated,
+        iterations=tuple(roots[n][1] for n in ns),
+        residuals=tuple(roots[n][2] for n in ns),
     )
 
 

@@ -288,6 +288,11 @@ class TestKappaRatioGap:
         with pytest.raises(ValueError):
             pl.kappa_ratio_gap(V, 1, 1.0, 0.5, -0.5, 1500.0)
 
+    def test_left_half_plane_rejected_with_shared_message(self):
+        msg = "shifted arguments must stay in the right half-plane"
+        with pytest.raises(ValueError, match=msg):
+            pl.kappa_ratio_gap(self._potential(), 1, 1.0, -600.0, 0.5, 150.0)
+
     def test_linear_scaling_in_new_amplitude(self):
         # the gap divided by lam_{ell+1} is stable across two amplitude
         # decades; ell = 1 so the new bump is the one at 100

@@ -1,8 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pearsonlab as pl
 from pearsonlab import spectrum
@@ -111,6 +114,28 @@ class TestEigenvaluesNear:
             pl.eigenvalues_near(one_bump(0.5, 10.0), 50.0, 1.0, -1, 1)
         assert "," not in str(info.value)
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_length_rejected(self, L):
+        V = one_bump(0.5, 10.0)
+        for call in (
+            lambda: pl.eigenvalues_near(V, L, 1.0, -1, 1),
+            lambda: pl.clock_statistics(V, L, 1.0, 1),
+        ):
+            with pytest.raises(ValueError, match="positive and finite") as info:
+                call()
+            assert "," not in str(info.value)
+
+    def test_residuals_within_tolerance(self):
+        V = one_bump(0.5, 10.0)
+        tol = pl.DEFAULTS.root_rel_tol
+        w = pl.eigenvalues_near(V, 50.0, 1.0, -3, 3)
+        assert len(w.iterations) == len(w.residuals) == len(w.values)
+        assert all(walks >= 1 for walks in w.iterations)
+        for n, res in zip(range(w.n_min, w.n_max + 1), w.residuals):
+            assert res <= tol
+            s = pl.neumann_solution(V, w.value(n), 50.0)
+            assert abs(s.du) <= tol * math.sqrt(w.value(n) * s.u**2 + s.du**2)
+
     def test_interlacing_with_counting_function(self):
         V = one_bump(0.5, 10.0)
         w = pl.eigenvalues_near(V, 50.0, 1.0, -3, 3)
@@ -120,47 +145,106 @@ class TestEigenvaluesNear:
             assert right - left == 1
 
 
-class TestBrent:
-    @pytest.mark.parametrize("L", [1e2, 1e5])
-    def test_bit_identical_to_scipy_brentq(self, L):
-        from scipy.optimize import brentq
+class TestWalkCount:
+    @pytest.mark.parametrize("L", [1e3, 1e4])
+    def test_at_most_four_walks_per_root(self, L, monkeypatch):
+        from pearsonlab.cli import canonical_potential
 
-        V = one_bump(0.5, 10.0)
-        xtol = 1e-13
-        theta = pl.phase(V, 1.0, L)
-        k = math.ceil((theta - 0.5 * math.pi) / math.pi)
-        spacing = 2.0 * math.pi / L
-        for target in (0.5 * math.pi + k * math.pi, 0.5 * math.pi + (k + 3) * math.pi):
-            def g(x):
-                return pl.phase(V, x, L) - target
-
-            lo, hi = 1.0 - spacing, 1.0 + 5.0 * spacing
-            assert g(lo) < 0.0 < g(hi)
-            ours = spectrum._brent(g, lo, hi, g(lo), g(hi), xtol, 1e-15)
-            assert ours == brentq(g, lo, hi, xtol=xtol, rtol=1e-15)
-
-    def test_zero_at_an_end_returned_exactly(self):
-        def f(x):
-            raise AssertionError("no evaluation expected")
-
-        assert spectrum._brent(f, 0.25, 2.0, 0.0, 1.0, 1e-13, 1e-15) == 0.25
-        assert spectrum._brent(f, 0.25, 2.0, -1.0, 0.0, 1e-13, 1e-15) == 2.0
-
-    def test_maxiter_exceeded_raises(self):
-        with pytest.raises(RuntimeError, match="did not converge") as info:
-            spectrum._brent(lambda x: x**3 - 2.0, 0.0, 2.0, -2.0, 6.0, 1e-15, 1e-15, maxiter=2)
-        assert "," not in str(info.value)
-
-    def test_bracket_ends_not_evaluated_again(self):
+        walk = spectrum._phase_walk
         calls = []
 
-        def f(x):
-            calls.append(x)
-            return x**3 - 2.0
+        def counted(*args):
+            calls.append(args[1])
+            return walk(*args)
 
-        root = spectrum._brent(f, 0.0, 2.0, -2.0, 6.0, 1e-15, 1e-15)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
-        assert calls and 0.0 not in calls and 2.0 not in calls
+        monkeypatch.setattr(spectrum, "_phase_walk", counted)
+        rep = pl.clock_statistics(canonical_potential().build(), L, 1.0, 6)
+        roots = len(rep.window.values)
+        assert len(calls) <= 4 * roots
+        # one walk at xi_star, then the walks each root reports
+        assert len(calls) == 1 + sum(rep.window.iterations)
+
+
+@st.composite
+def _potentials(draw):
+    """One or two canonical bumps, lambda in [-6, 40], inside [0, 200]."""
+    count = draw(st.integers(1, 2))
+    amps = tuple(draw(st.floats(-6.0, 40.0)) for _ in range(count))
+    centers = [draw(st.floats(0.0, 100.0))]
+    if count == 2:
+        centers.append(centers[0] + draw(st.floats(1.5, 99.0)))
+    return pl.PearsonPotential(pl.canonical_bump(), amps, tuple(centers), monotone_from=count)
+
+
+def _assert_tolerance_out_of_reach(V, L, k):
+    """The crossing of theta(., L) through pi/2 + k pi sits between two
+    adjacent doubles, and neither meets |u'| <= root_rel_tol * sqrt(xi u^2 + u'^2).
+
+    This is what a sharp resonance does: theta jumps by pi over so short a
+    stretch of xi that one step in the last bit of xi moves |u'|/r by more
+    than the tolerance, so the search has to report non-convergence.
+    """
+    target = 0.5 * math.pi + k * math.pi
+    lo, hi = 1e-14, 1.0
+    while pl.phase(V, hi, L) < target:
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if pl.phase(V, mid, L) < target:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    for x in (lo, hi):
+        s = pl.neumann_solution(V, x, L)
+        assert abs(s.du) > pl.DEFAULTS.root_rel_tol * math.sqrt(x * s.u**2 + s.du**2)
+
+
+_XI = st.floats(1e-3, 4.0)
+_L = st.floats(1.0, 200.0)
+_FEW = settings(max_examples=20, derandomize=True, deadline=None)
+
+
+class TestPhaseSlopeProperties:
+    @_FEW
+    @given(_potentials(), _XI, _L)
+    def test_slope_positive_and_matches_central_difference(self, V, xi, L):
+        _, slope, _ = spectrum._phase_walk(V, xi, L, 512)
+        assert slope > 0.0
+
+        def central(h):
+            return (pl.phase(V, xi + h, L) - pl.phase(V, xi - h, L)) / (2.0 * h)
+
+        h = 1e-5 * xi
+        fd = (4.0 * central(0.5 * h) - central(h)) / 3.0  # Richardson, O(h^4)
+        assert slope == pytest.approx(fd, rel=1e-6)
+
+    @_FEW
+    @given(_potentials(), _XI, _XI, _L)
+    def test_count_monotone(self, V, xi1, xi2, L):
+        lo, hi = sorted((xi1, xi2))
+        assert pl.eigenvalue_count(V, lo, L) <= pl.eigenvalue_count(V, hi, L)
+
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(_potentials(), _XI, _L)
+    def test_count_matches_eigenvalues_below(self, V, cutoff, L):
+        # eigenvalues_below lists (0, cutoff]; the count also holds the
+        # eigenvalues at or below the floor 1e-14 (none for positive bumps)
+        try:
+            below = pl.eigenvalues_below(V, L, cutoff)
+        except RuntimeError as exc:
+            # a search may give up only where no double meets the tolerance
+            k = int(re.search(r"phase index (\d+)", str(exc)).group(1))
+            _assert_tolerance_out_of_reach(V, L, k)
+            return
+        bottom = pl.eigenvalue_count(V, 1e-14, L)
+        assert pl.eigenvalue_count(V, cutoff, L) - bottom == len(below)
+
+    @_FEW
+    @given(_XI, _L)
+    def test_free_slope_closed_form(self, xi, L):
+        _, slope, _ = spectrum._phase_walk(pl.zero_potential(), xi, L, 512)
+        assert slope == pytest.approx(L / (2.0 * math.sqrt(xi)), rel=1e-13)
 
 
 class TestClockStatistics:
