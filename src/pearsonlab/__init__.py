@@ -14,14 +14,11 @@ from .potential import (
     HatNSearchError,
     PearsonPotential,
     PotentialSpec,
-    assert_disjoint_supports,
     canonical_bump,
     empirical_hat_N,
-    evaluate_potential,
     format_potential_config,
     geometric_schedule,
     parse_potential_config,
-    truncate,
     zero_potential,
 )
 from .propagate import (

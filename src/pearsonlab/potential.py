@@ -19,11 +19,8 @@ __all__ = [
     "HatNSearchError",
     "canonical_bump",
     "zero_potential",
-    "evaluate_potential",
-    "truncate",
     "geometric_schedule",
     "empirical_hat_N",
-    "assert_disjoint_supports",
     "parse_potential_config",
     "format_potential_config",
 ]
@@ -133,14 +130,6 @@ def zero_potential(profile: BumpProfile | None = None) -> PearsonPotential:
     return PearsonPotential(profile or canonical_bump(), (), ())
 
 
-def evaluate_potential(V: PearsonPotential, x: float) -> float:
-    return V.evaluate(x)
-
-
-def truncate(V: PearsonPotential, ell: int) -> PearsonPotential:
-    return V.truncate(ell)
-
-
 def geometric_schedule(
     amplitudes: Sequence[float],
     n1: float,
@@ -171,14 +160,6 @@ def geometric_schedule(
         tuple(float(a) for a in amplitudes[:count]),
         tuple(centers),
     )
-
-
-def assert_disjoint_supports(V: PearsonPotential) -> None:
-    """Scan all support intervals [N_k, N_k + 1] for pairwise overlap."""
-    intervals = [(c, c + 1.0) for c in V.centers]
-    for (a0, a1), (b0, b1) in zip(intervals, intervals[1:]):
-        if b0 < a1:
-            raise AssertionError(f"supports [{a0}, {a1}] and [{b0}, {b1}] overlap")
 
 
 def empirical_hat_N(

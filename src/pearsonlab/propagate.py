@@ -7,11 +7,21 @@ exponential of a trace-free matrix, so bump maps keep det = 1 to
 rounding and come with their xi-derivative in closed form; the steps of
 a map are folded together as 4x4 block-triangular products that carry T
 and dT/dxi at once. Every walker is a fold of the per-piece maps
-(T, dT/dxi) over segments(). Full-bump maps and Neumann endpoints
-(neumann_solution) are cached, so a sweep that revisits the same
-(V, xi, x) propagates it once. Everything here is a pure function of
-immutable inputs and bitwise deterministic for a fixed step
-configuration.
+(T, dT/dxi) over segments().
+
+A full-bump map T(xi) is entire in xi (Poschel and Trubowitz 1987). Its
+Taylor coefficients in xi - xi0 up to degree 15 (the bump's jet) are read
+off T at N = 16 points on the circle |xi - xi0| = R = 1/2 by a fixed
+16 x 16 DFT (Lyness and Moler 1967), around centers xi0 on a fixed
+lattice of spacing 1/2 in Re xi and Im xi (real for real xi). Every xi
+lies within 0.354 < R of its center, aliasing adds only c_(j+N) R^N to
+c_j, and a tail check enforces that c_15 R^15 is at rounding level, so
+one polynomial evaluation gives T and dT/dxi to rounding. Partial bump
+pieces are mapped directly. Evaluated full-bump maps and Neumann
+endpoints (neumann_solution) are cached per xi, so a sweep that revisits
+the same (V, xi, x) propagates it once. Everything here is a pure
+function of immutable inputs; with the lattice fixed it is bitwise
+deterministic for a fixed step configuration, whatever the call order.
 """
 from __future__ import annotations
 
@@ -313,9 +323,100 @@ def _magnus_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, step
     return M[0, :2, :2], M[0, 2:, :2]
 
 
+# Full-bump jets; the module docstring justifies these constants.
+_JET_SPACING = 0.5  # lattice spacing of the centers xi0, along Re xi and Im xi
+_JET_RADIUS = 0.5  # R, radius of the circle the coefficients are read from
+_JET_POINTS = 16  # N, points on the circle and terms of the polynomial
+_JET_TAIL_TOL = 1e-12  # largest accepted |c_(N-1)| R^(N-1) / max |c_0|
+_ROOTS = [cmath.exp(2j * math.pi * k / _JET_POINTS) for k in range(_JET_POINTS)]
+_POWERS = np.arange(_JET_POINTS)
+# c_j = (1/N) sum_k T(xi0 + R w^k) w^(-jk) / R^j
+_DFT = np.array([[_ROOTS[-j * k % _JET_POINTS] / (_JET_POINTS * _JET_RADIUS**j)
+                   for k in range(_JET_POINTS)] for j in range(_JET_POINTS)])
+
+
+def _lattice_point(xi):
+    """The jet center nearest to xi; real while |Im xi| < 1/4."""
+    re = _JET_SPACING * round(xi.real / _JET_SPACING)
+    im = _JET_SPACING * round(xi.imag / _JET_SPACING)
+    return complex(re, im) if im else re
+
+
+def _circle_values(profile: BumpProfile, lam: float, steps: int, xi0):
+    """Full-bump T at the points xi0 + R w^k, one row (T11, T12, T21, T22) each.
+
+    The Gauss Magnus steps of _magnus_map without the derivative, folded
+    entrywise for all points at once. T has real Taylor coefficients, so
+    for real xi0 only the upper half circle is folded; the rest is its
+    conjugate.
+    """
+    half = _JET_POINTS // 2
+    z = np.array([xi0 + _JET_RADIUS * w for w in _ROOTS])
+    if not isinstance(xi0, complex):
+        z = z[: half + 1]
+    w1, w2, h, _ = _gauss_samples(profile, 0.0, 1.0, steps)
+    c = ((math.sqrt(3.0) / 12.0 * h * h * lam) * (w1 - w2))[:, None]
+    qbar = (0.5 * lam * (w1 + w2))[:, None] - z
+    ch, sh = _exp_coeffs(c * c + h * h * qbar)[:2]
+    # S[:, i, k] holds the entries of step i at point k; written in place,
+    # which keeps the peak memory of a jet build down
+    S = np.empty((4,) + ch.shape, dtype=complex)
+    np.multiply(sh, h, out=S[1])
+    np.multiply(S[1], qbar, out=S[2])
+    np.multiply(sh, c, out=S[3])
+    np.add(ch, S[3], out=S[0])
+    np.subtract(ch, S[3], out=S[3])
+    del ch, sh, qbar
+    while S.shape[1] > 1:
+        if S.shape[1] % 2:
+            eye = np.broadcast_to(np.array([1.0, 0.0, 0.0, 1.0])[:, None, None], (4, 1, len(z)))
+            S = np.concatenate((S, eye), axis=1)
+        (a0, b0, c0, d0), (a1, b1, c1, d1) = S[:, 0::2], S[:, 1::2]
+        S = np.stack((a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0))
+    T = S[:, 0].T
+    return T if len(T) == _JET_POINTS else np.concatenate((T, T[half - 1 : 0 : -1].conj()))
+
+
+def _check_tail(coefs: np.ndarray, lam: float, xi0) -> None:
+    """Reject a jet whose last term is not negligible on the circle."""
+    tail = np.abs(coefs[-1]).max() * _JET_RADIUS ** (_JET_POINTS - 1)
+    if tail > _JET_TAIL_TOL * np.abs(coefs[0]).max():
+        raise RuntimeError(f"bump map jet did not converge for lam = {lam} around xi0 = {xi0}")
+
+
+@lru_cache(maxsize=1024)
+def _bump_jet(profile: BumpProfile, lam: float, steps: int, xi0) -> np.ndarray:
+    """Taylor coefficients in xi - xi0 of the full-bump T, one row per power.
+
+    The DFT is applied as real matrix products on real and imaginary parts
+    (complex ones measurably raised the peak memory of a run); for real
+    xi0 the coefficients are real.
+    """
+    T = _circle_values(profile, lam, steps, xi0)
+    coefs = _DFT.real @ T.real - _DFT.imag @ T.imag
+    if isinstance(xi0, complex):
+        coefs = coefs + 1j * (_DFT.real @ T.imag + _DFT.imag @ T.real)
+    _check_tail(coefs, lam, xi0)
+    coefs.setflags(write=False)
+    return coefs
+
+
+def _jet_eval(coefs: np.ndarray, delta):
+    """(T, dT/dxi) of a jet at xi0 + delta, as one product with the powers
+    delta^j and their derivatives j delta^(j-1)."""
+    p = delta ** _POWERS
+    P = np.zeros((2, _JET_POINTS), dtype=p.dtype)
+    P[0], P[1, 1:] = p, _POWERS[1:] * p[:-1]
+    out = (P @ coefs).reshape(2, 2, 2)
+    out.setflags(write=False)
+    return out[0], out[1]
+
+
 @lru_cache(maxsize=8192)
 def _bump_matrix(profile: BumpProfile, lam: float, xi, steps: int):
-    return _magnus_map(profile, lam, xi, 0.0, 1.0, steps)
+    """(T, dT/dxi) across a full bump from its jet; a repeated xi is a cache hit."""
+    xi0 = _lattice_point(xi)
+    return _jet_eval(_bump_jet(profile, lam, steps, xi0), xi - xi0)
 
 
 def _bump_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, steps: int):
@@ -332,8 +433,9 @@ def bump_transfer(
 
     Maps (u, u') at the left edge of the support to (u, u') at the right
     edge for -u'' + lam*W u = xi u; its columns are the Neumann-like and
-    Dirichlet-like basis solutions across the bump. Results are cached
-    per (profile, lam, xi, steps).
+    Dirichlet-like basis solutions across the bump. It is evaluated from
+    the bump's xi-jet, built once per (profile, lam, steps) and lattice
+    cell, and cached per (profile, lam, xi, steps).
     """
     steps = _steps_or_default(steps)
     return TransferMatrix(_bump_matrix(profile, float(lam), _as_scalar(xi), steps)[0], 0.0, 1.0)

@@ -189,28 +189,20 @@ def _state_norm(s) -> float:
     return math.hypot(abs(s.u), abs(s.du))
 
 
-def _truncation_constant(V, ell, xi, x_grid, steps):
+def _compare_truncations(V, ell, xi, x_grid, steps):
+    """Over x_grid, the largest relative (u, u') difference between the ell
+    and ell+1 truncations and the smallest ratio of their norms."""
     V_lo = V.truncate(ell)
     V_hi = V.truncate(ell + 1)
-    lam = V.amplitudes[ell]
     worst = 0.0
+    best = math.inf
     for x in x_grid:
         lo = neumann_solution(V_lo, xi, x, steps=steps)
         hi = neumann_solution(V_hi, xi, x, steps=steps)
         diff = math.hypot(hi.u - lo.u, hi.du - lo.du)
         worst = max(worst, diff / _state_norm(lo))
-    return worst / abs(lam)
-
-
-def _half_comparison_ratio(V, ell, xi, x_grid, steps):
-    V_lo = V.truncate(ell)
-    V_hi = V.truncate(ell + 1)
-    best = math.inf
-    for x in x_grid:
-        lo = neumann_solution(V_lo, xi, x, steps=steps)
-        hi = neumann_solution(V_hi, xi, x, steps=steps)
         best = min(best, _state_norm(hi) / _state_norm(lo))
-    return best
+    return worst, best
 
 
 def probe_truncation_step(
@@ -237,6 +229,7 @@ def probe_truncation_step(
         if not (lo_edge <= x <= hi_edge):
             raise ValueError(f"x = {x} outside [{lo_edge}, {hi_edge}]")
     lam = V.amplitudes[ell]
+    worst, half_ratio = _compare_truncations(V, ell, xi, x_grid, steps)
     if lam == 0.0:
         measured = 0.0
         spread = 1.0
@@ -248,11 +241,10 @@ def probe_truncation_step(
         V_scaled = PearsonPotential(
             V.profile, tuple(scaled_amps), V.centers, monotone_from=len(scaled_amps)
         )
-        c1 = _truncation_constant(V, ell, xi, x_grid, steps)
-        c2 = _truncation_constant(V_scaled, ell, xi, x_grid, steps)
+        c1 = worst / abs(lam)
+        c2 = _compare_truncations(V_scaled, ell, xi, x_grid, steps)[0] / abs(scaled_amps[ell])
         measured = c1
         spread = max(c1, c2) / min(c1, c2)
-    half_ratio = _half_comparison_ratio(V, ell, xi, x_grid, steps)
     return BoundProbe(
         lemma_id="truncation_step",
         parameters={
@@ -284,7 +276,7 @@ def first_half_comparison_ell(
         lo_edge = V.centers[ell]
         hi_edge = V.centers[ell + 1] if ell + 1 < V.bump_count else lo_edge + 10.0
         grid = list(np.linspace(lo_edge, hi_edge, x_points))
-        if _half_comparison_ratio(V, ell, xi, grid, steps) >= 0.5:
+        if _compare_truncations(V, ell, xi, grid, steps)[1] >= 0.5:
             return ell
     return None
 

@@ -213,36 +213,42 @@ class TestHatnCommand:
 
 
 class TestImport:
-    def test_package_import_loads_no_scipy(self):
+    @staticmethod
+    def loaded(code):
+        """Standard output of code run in a fresh interpreter on this package."""
         import pearsonlab
 
         src = os.path.dirname(os.path.dirname(pearsonlab.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = (
-            "import sys, pearsonlab, pearsonlab.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_package_import_loads_no_scipy(self):
+        code = (
+            "import sys, pearsonlab, pearsonlab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert self.loaded(code) == "[]"
 
     def test_cli_import_loads_no_process_pool(self):
-        import pearsonlab
-
-        src = os.path.dirname(os.path.dirname(pearsonlab.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import sys, pearsonlab.cli\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.startswith(('concurrent.futures', 'multiprocessing'))))"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        assert self.loaded(code) == "[]"
+
+    def test_cli_import_loads_no_numpy_fft(self):
+        # the bump jets take their Taylor coefficients from a fixed DFT
+        # matrix; numpy.fft would add to start-up time and memory
+        code = (
+            "import sys, pearsonlab.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.fft')))"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert self.loaded(code) == "[]"
 
 
 class TestSeedlessFlag:

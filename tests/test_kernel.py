@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pearsonlab as pl
 
-from util import free_kernel, free_kernel_ratio, sinc, two_bump
+from util import bump_potentials, cell_edge_pairs, free_kernel, free_kernel_ratio, sinc, two_bump
 
 
 class TestSineKernel:
@@ -214,7 +216,7 @@ class TestKappa:
         # (a1_tilde^2 + a2_tilde^2)/2 equals (u^2 + u'^2/xi)/2 identically
         V = two_bump()
         xi, x = 1.7, 57.0
-        s = pl.neumann_solution(pl.truncate(V, 2), xi, x)
+        s = pl.neumann_solution(V.truncate(2), xi, x)
         expected = 0.5 * (s.u**2 + s.du**2 / xi)
         assert pl.kappa(V, 2, xi, x).value == pytest.approx(expected, rel=1e-12)
 
@@ -311,3 +313,36 @@ class TestKappaRatioGap:
         for x in (100.0, 150.0, 400.0, 999.0):
             g = pl.kappa_ratio_gap(V, 1, 1.3, 0.8, -0.4, x)
             assert g.s_term + g.kappa_term >= g.gap * (1 - 1e-12)
+
+
+_PAIR_L = st.floats(1.0, 200.0)
+_STRIP_T = st.floats(-1.0, 1.0)  # imaginary parts t/L, as on criterion 8's strip
+
+
+class TestKernelProperties:
+    """Symmetries and Cauchy-Schwarz of S_L for arguments in neighbouring
+    xi-jet cells, so the two solutions come from different bump jets; below
+    L = 4 a strip point's imaginary part reaches a complex jet center."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(bump_potentials(), cell_edge_pairs(), _STRIP_T, _STRIP_T, _PAIR_L)
+    def test_symmetric(self, V, pair, s, t, L):
+        xi, zeta = complex(pair[0], s / L), complex(pair[1], t / L)
+        assert pl.cd_formula(V, xi, zeta, L).value == pl.cd_formula(V, zeta, xi, L).value
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(bump_potentials(), cell_edge_pairs(), _STRIP_T, _STRIP_T, _PAIR_L)
+    def test_conjugate_symmetric(self, V, pair, s, t, L):
+        xi, zeta = complex(pair[0], s / L), complex(pair[1], t / L)
+        value = pl.cd_formula(V, xi, zeta, L).value
+        mirrored = pl.cd_formula(V, xi.conjugate(), zeta.conjugate(), L).value
+        assert mirrored == pytest.approx(np.conj(value), rel=1e-10)
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(bump_potentials(), cell_edge_pairs(), _PAIR_L)
+    def test_cauchy_schwarz(self, V, pair, L):
+        xi, zeta = pair
+        off = pl.cd_formula(V, xi, zeta, L)
+        assert off.method == "cd_formula"
+        bound = pl.cd_diagonal(V, xi, L).value * pl.cd_diagonal(V, zeta, L).value
+        assert off.value**2 <= bound * (1.0 + 1e-10)

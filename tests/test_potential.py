@@ -55,20 +55,20 @@ class TestCanonicalBump:
 class TestPearsonPotential:
     def test_single_bump_midpoint(self):
         V = one_bump(0.5, 10.0)
-        assert pl.evaluate_potential(V, 10.5) == pytest.approx(0.5, rel=1e-15)
+        assert V.evaluate(10.5) == pytest.approx(0.5, rel=1e-15)
 
     def test_outside_supports(self):
         V = one_bump(0.5, 10.0)
-        assert pl.evaluate_potential(V, 5.0) == 0.0
-        assert pl.evaluate_potential(V, 11.5) == 0.0
+        assert V.evaluate(5.0) == 0.0
+        assert V.evaluate(11.5) == 0.0
 
     def test_second_bump_midpoint(self):
         V = pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25), (10.0, 100.0))
-        assert pl.evaluate_potential(V, 100.5) == pytest.approx(0.25, rel=1e-15)
+        assert V.evaluate(100.5) == pytest.approx(0.25, rel=1e-15)
 
     def test_negative_position_rejected(self):
         with pytest.raises(ValueError):
-            pl.evaluate_potential(one_bump(), -1.0)
+            one_bump().evaluate(-1.0)
 
     def test_overlapping_supports_rejected(self):
         with pytest.raises(ValueError):
@@ -85,7 +85,12 @@ class TestPearsonPotential:
         assert V.bump_count == 3
 
     def test_disjoint_support_scan(self):
-        pl.assert_disjoint_supports(two_bump())
+        # the constructor scans every neighbouring pair; touching supports
+        # share only an endpoint and are accepted
+        V = pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25, 0.1), (10.0, 11.0, 12.0))
+        assert V.centers == (10.0, 11.0, 12.0)
+        with pytest.raises(ValueError, match="overlap"):
+            pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25, 0.1), (10.0, 20.0, 20.5))
 
     def test_at_most_one_active_bump(self):
         V = two_bump()
@@ -101,26 +106,26 @@ class TestPearsonPotential:
 class TestTruncate:
     def test_zero_level_is_free(self):
         V = two_bump()
-        V0 = pl.truncate(V, 0)
+        V0 = V.truncate(0)
         for x in (0.0, 10.5, 100.5, 300.0):
             assert V0.evaluate(x) == 0.0
 
     def test_agreement_below_next_center(self):
         V = two_bump()
-        V1 = pl.truncate(V, 1)
+        V1 = V.truncate(1)
         for x in np.linspace(0.0, 99.999, 500):
             assert V1.evaluate(float(x)) == V.evaluate(float(x))
         assert V1.evaluate(100.5) == 0.0 != V.evaluate(100.5)
 
     def test_level_beyond_count_rejected(self):
         with pytest.raises(ValueError):
-            pl.truncate(two_bump(), 3)
+            two_bump().truncate(3)
 
     def test_free_evolution_beyond_kept_bumps(self):
         # beyond N_ell + 1 the truncated eigenfunction evolves freely:
         # propagating to x must match the free transfer applied to the
         # state at N_ell + 1
-        V = pl.truncate(two_bump(), 1)
+        V = two_bump().truncate(1)
         xi = 1.7
         s11 = pl.neumann_solution(V, xi, 11.0)
         s40 = pl.neumann_solution(V, xi, 40.0)

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pearsonlab as pl
+from pearsonlab import propagate
 from pearsonlab.config import DEFAULTS
 from pearsonlab.propagate import DeterminantDriftError, _magnus_map, _neumann_state
 
-from util import monolithic_rk4, one_bump, two_bump
+from util import bump_potentials, cell_edge_pairs, monolithic_rk4, one_bump, two_bump
 
 
 class TestFreeTransfer:
@@ -141,6 +144,105 @@ class TestMagnusFold:
         assert np.abs(D - fd).max() <= 1e-8 * np.abs(D).max()
 
 
+def _cell_edges():
+    # the real lattice cells have edges at 0.25 + k/2; a tie rounds to even
+    for b in np.arange(0.25, 4.0, 0.5):
+        yield from (math.nextafter(b, 0.0), float(b), math.nextafter(b, 5.0))
+
+
+_JET_GRID = (
+    list(np.linspace(1e-3, 4.0, 13))
+    + [1e-14]
+    + list(_cell_edges())
+    # criterion 8's strip points xi + i t/x with |t| <= 1 and x >= 10.5
+    + [xi + 1j * t / x for xi in (0.25, 1.0, 4.0) for x in (10.5, 150.0) for t in (-1.0, 1.0)]
+    # |Im xi| = 0.3 takes a complex lattice point
+    + [complex(1.1, 0.3), complex(2.9, -0.3)]
+)
+
+
+class TestBumpJet:
+    """Full-bump maps from the xi-jet against the direct Magnus map."""
+
+    @pytest.mark.parametrize("steps", [16, 64, 512])
+    @pytest.mark.parametrize("lam", [-6.0, 1.0, 40.0, 1000.0])
+    def test_matches_direct_map(self, lam, steps):
+        profile = pl.canonical_bump()
+        for xi in _JET_GRID:
+            xi = propagate._as_scalar(xi)
+            T, D = propagate._bump_map(profile, lam, xi, 0.0, 1.0, steps)
+            T_ref, D_ref = _magnus_map(profile, lam, xi, 0.0, 1.0, steps)
+            assert T.dtype == T_ref.dtype
+            assert np.abs(T - T_ref).max() <= 1e-12 * np.abs(T_ref).max(), xi
+            assert np.abs(D - D_ref).max() <= 1e-12 * np.abs(D_ref).max(), xi
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(bump_potentials(), cell_edge_pairs(), st.floats(-1.0, 1.0), st.floats(1.0, 200.0))
+    def test_transfer_determinant(self, V, pair, t, L):
+        # an evaluated jet is unimodular only to rounding
+        for xi in pair:
+            T = pl.transfer_to(V, complex(xi, t / L), L)
+            assert abs(T.det() - 1.0) <= DEFAULTS.det_tol_per_unit * max(1.0, L)
+
+    def test_lattice_points(self):
+        assert propagate._lattice_point(1.25) == 1.0
+        assert propagate._lattice_point(math.nextafter(1.25, 2.0)) == 1.5
+        assert propagate._lattice_point(complex(1.0, 0.095)) == 1.0
+        assert propagate._lattice_point(complex(1.1, 0.3)) == complex(1.0, 0.5)
+
+    def test_neighbouring_jets_agree_on_the_cell_edge(self):
+        profile, b = pl.canonical_bump(), 1.25
+        for lam in (1.0, 40.0):
+            lo = propagate._jet_eval(propagate._bump_jet(profile, lam, 512, 1.0), b - 1.0)
+            hi = propagate._jet_eval(propagate._bump_jet(profile, lam, 512, 1.5), b - 1.5)
+            for x, y in zip(lo, hi):
+                assert np.abs(x - y).max() <= 1e-13 * np.abs(x).max()
+
+    def test_phase_continuous_across_cell_edge(self):
+        from pearsonlab.cli import canonical_potential
+
+        V = canonical_potential().build()
+        below, above = 1.25, math.nextafter(1.25, 2.0)
+        assert propagate._lattice_point(below) != propagate._lattice_point(above)
+        assert abs(pl.phase(V, below, 1e4) - pl.phase(V, above, 1e4)) <= 1e-12
+
+    def test_tail_check_raises(self):
+        coefs = np.zeros((propagate._JET_POINTS, 4))
+        coefs[0] = 1.0
+        propagate._check_tail(coefs, 2.0, 1.5)
+        coefs[-1] = 1e-6
+        with pytest.raises(RuntimeError) as info:
+            propagate._check_tail(coefs, 2.0, 1.5)
+        message = str(info.value)
+        assert "lam = 2.0" in message and "xi0 = 1.5" in message
+        assert "," not in message
+
+    def test_clock_builds_few_jets_and_no_direct_full_maps(self, monkeypatch):
+        from pearsonlab.cli import canonical_potential
+
+        builds, full = [], []
+        circle, direct = propagate._circle_values, propagate._magnus_map
+
+        def counted_circle(*args):
+            builds.append(args)
+            return circle(*args)
+
+        def counted_direct(profile, lam, xi, la, lb, steps):
+            if propagate._is_full_bump(la, lb):
+                full.append(xi)
+            return direct(profile, lam, xi, la, lb, steps)
+
+        monkeypatch.setattr(propagate, "_circle_values", counted_circle)
+        monkeypatch.setattr(propagate, "_magnus_map", counted_direct)
+        propagate._bump_jet.cache_clear()
+        propagate._bump_matrix.cache_clear()
+        V = canonical_potential().build()
+        for L in (1e2, 1e3, 1e4):
+            pl.clock_statistics(V, L, 1.0, 6)
+        assert 0 < len(builds) <= 6
+        assert full == []
+
+
 class TestNeumannCache:
     def test_numpy_and_plain_xi_share_an_entry(self):
         V = two_bump()
@@ -263,7 +365,7 @@ class TestVariationCoeffs:
         assert c.a2_tilde == c.a2
 
     def test_constant_beyond_last_kept_bump(self):
-        V = pl.truncate(two_bump(), 1)
+        V = two_bump().truncate(1)
         xi = 1.1
         base = pl.variation_coeffs(V, xi, 11.0)
         for x in (20.0, 75.0, 200.0):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pearsonlab as pl
 from pearsonlab import spectrum
 
-from util import one_bump, two_bump
+from util import bump_potentials as _potentials, one_bump, two_bump
 
 
 class TestPhase:
@@ -163,17 +163,6 @@ class TestWalkCount:
         assert len(calls) <= 4 * roots
         # one walk at xi_star, then the walks each root reports
         assert len(calls) == 1 + sum(rep.window.iterations)
-
-
-@st.composite
-def _potentials(draw):
-    """One or two canonical bumps, lambda in [-6, 40], inside [0, 200]."""
-    count = draw(st.integers(1, 2))
-    amps = tuple(draw(st.floats(-6.0, 40.0)) for _ in range(count))
-    centers = [draw(st.floats(0.0, 100.0))]
-    if count == 2:
-        centers.append(centers[0] + draw(st.floats(1.5, 99.0)))
-    return pl.PearsonPotential(pl.canonical_bump(), amps, tuple(centers), monotone_from=count)
 
 
 def _assert_tolerance_out_of_reach(V, L, k):

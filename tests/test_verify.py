@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,8 +80,8 @@ class TestTruncationStepProbe:
     def test_truncations_agree_below_new_bump(self):
         V = pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25), (10.0, 100.0))
         xi = 1.2
-        lo = pl.neumann_solution(pl.truncate(V, 1), xi, 50.0)
-        hi = pl.neumann_solution(pl.truncate(V, 2), xi, 50.0)
+        lo = pl.neumann_solution(V.truncate(1), xi, 50.0)
+        hi = pl.neumann_solution(V.truncate(2), xi, 50.0)
         assert hi.u == lo.u and hi.du == lo.du
 
     def test_two_amplitude_stability(self):
@@ -95,6 +97,27 @@ class TestTruncationStepProbe:
         V = pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25), (10.0, 100.0))
         with pytest.raises(ValueError):
             pl.probe_truncation_step(V, 1, 1.0, (50.0,))
+
+    def test_fields_from_the_two_truncations(self):
+        # measured is the largest |(u, u')| change relative to the ell-bump
+        # solution over |lam|, half_comparison_ratio the smallest norm ratio
+        V = pl.PearsonPotential(
+            pl.canonical_bump(), (0.5, 0.2), (10.0, 100.0), monotone_from=2
+        )
+        grid = (100.0, 130.0, 160.0)
+        probe = pl.probe_truncation_step(V, 1, 1.0, grid)
+        pairs = [
+            (pl.neumann_solution(V.truncate(1), 1.0, x), pl.neumann_solution(V, 1.0, x))
+            for x in grid
+        ]
+
+        def norm(s):
+            return math.hypot(s.u, s.du)
+
+        change = max(math.hypot(hi.u - lo.u, hi.du - lo.du) / norm(lo) for lo, hi in pairs)
+        assert probe.measured == pytest.approx(change / 0.2, rel=1e-14)
+        ratio = min(norm(hi) / norm(lo) for lo, hi in pairs)
+        assert probe.parameters["half_comparison_ratio"] == pytest.approx(ratio, rel=1e-14)
 
     def test_half_comparison_recorded(self):
         V = pl.PearsonPotential(

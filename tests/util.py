@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 import pearsonlab as pl
 
@@ -14,6 +15,29 @@ def one_bump(lam: float = 0.5, center: float = 10.0) -> pl.PearsonPotential:
 
 def two_bump() -> pl.PearsonPotential:
     return pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25), (10.0, 100.0))
+
+
+@st.composite
+def bump_potentials(draw):
+    """One or two canonical bumps, lambda in [-6, 40], inside [0, 200]."""
+    count = draw(st.integers(1, 2))
+    amps = tuple(draw(st.floats(-6.0, 40.0)) for _ in range(count))
+    centers = [draw(st.floats(0.0, 100.0))]
+    if count == 2:
+        centers.append(centers[0] + draw(st.floats(1.5, 99.0)))
+    return pl.PearsonPotential(pl.canonical_bump(), amps, tuple(centers), monotone_from=count)
+
+
+@st.composite
+def cell_edge_pairs(draw):
+    """(xi, zeta) on the two sides of a jet cell edge 0.25 + k/2 in (0, 4).
+
+    Each lies at least 5e-4 from the edge, so the pair stays clear of the
+    near-diagonal reroute of cd_formula.
+    """
+    edge = 0.25 + 0.5 * draw(st.integers(0, 7))
+    offsets = st.floats(5e-4, 0.249)
+    return edge - draw(offsets), edge + draw(offsets)
 
 
 def monolithic_rk4(V: pl.PearsonPotential, xi: float, x_end: float, n_steps: int,
