@@ -28,7 +28,6 @@ from .propagate import (
     TransferMatrix,
     VariationCoeffs,
     bump_transfer,
-    bump_transfer_partial,
     dirichlet_solution,
     extended_neumann,
     free_transfer,

@@ -12,20 +12,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .kernel import kernel_ratio, sine_kernel
 from .potential import (
     POTENTIAL_KEYS,
-    HatNSearchError,
     PearsonPotential,
     PotentialSpec,
     empirical_hat_N,
-    float_list,
+    field_readers,
     parse_key_values,
     potential_spec_from_mapping,
+    replace_fields,
 )
 from .spectrum import clock_statistics, density_of_states
 from .verify import (
@@ -49,12 +50,20 @@ HEADERS = {
     "hatn": ["ell", "tolerance", "window_lo", "window_hi", "ab_bound", "hat_n", "status"],
 }
 
+
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one experiment.
+
+    Every field but kind and potential is a config key of the same name
+    and is read as the type of its default; the potential's keys are the
+    fields of PotentialSpec.
+    """
+
     kind: str
     potential: PotentialSpec = field(default_factory=PotentialSpec)
     xi_grid: tuple[float, ...] = (1.0,)
@@ -90,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError("l_grid must be strictly increasing")
         if any(l <= 0 for l in self.l_grid):
             raise ConfigError("l_grid values must be positive")
+        if len(self.interval) != 2:
+            raise ConfigError("interval needs exactly two endpoints")
         if self.kind == "clock" and self.depth < 1:
             raise ConfigError("depth must be at least 1")
         if self.kind == "dos":
@@ -98,9 +109,7 @@ class ExperimentConfig:
                 raise ConfigError("interval must be inside (0, inf)")
             if self.bins < 1:
                 raise ConfigError("bins must be at least 1")
-        if self.kind == "verify" and self.probe not in (
-            "one_bump", "transfer_bound", "truncation_step", "kappa_schedule", "suite",
-        ):
+        if self.kind == "verify" and self.probe not in (*PROBES, "suite"):
             raise ConfigError(f"unknown probe {self.probe!r}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
@@ -126,39 +135,13 @@ def _parse_kv_file(path: str) -> dict[str, str]:
 
 
 def config_from_mapping(kind: str, mapping: dict[str, str]) -> ExperimentConfig:
-    cfg = ExperimentConfig(kind=kind)
     pot_keys = {k: v for k, v in mapping.items() if k in POTENTIAL_KEYS}
-    if pot_keys:
-        try:
-            cfg.potential = potential_spec_from_mapping(pot_keys)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    for key, value in mapping.items():
-        if key in POTENTIAL_KEYS or key == "kind":
-            continue
-        try:
-            if key in ("xi_grid", "l_grid", "a_grid", "b_grid"):
-                setattr(cfg, key, float_list(value))
-            elif key == "interval":
-                vals = float_list(value)
-                if len(vals) != 2:
-                    raise ConfigError("interval needs exactly two endpoints")
-                cfg.interval = (vals[0], vals[1])
-            elif key in ("depth", "bins", "ell", "workers", "probe_m", "probe_ell", "probe_count"):
-                setattr(cfg, key, int(value))
-            elif key == "steps_per_bump":
-                cfg.steps_per_bump = int(value)
-            elif key in ("xi_star", "tolerance", "ab_bound", "probe_lambda", "probe_xi"):
-                setattr(cfg, key, float(value))
-            elif key in ("out", "probe"):
-                setattr(cfg, key, value)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from exc
-    if "kind" in mapping and mapping["kind"] != kind:
+    keys = {k: v for k, v in mapping.items() if k not in POTENTIAL_KEYS and k != "kind"}
+    try:
+        cfg = replace_fields(ExperimentConfig(kind, potential_spec_from_mapping(pot_keys)), keys)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if mapping.get("kind", kind) != kind:
         raise ConfigError(
             f"config kind {mapping['kind']!r} does not match subcommand {kind!r}"
         )
@@ -166,10 +149,12 @@ def config_from_mapping(kind: str, mapping: dict[str, str]) -> ExperimentConfig:
 
 
 # -- tasks ---------------------------------------------------------------------
+#
+# A task is (kind, key columns, function, args); function(*args) returns
+# its CSV rows.
 
 
-def _task_kernel(payload):
-    V, L, xi, a_grid, b_grid, steps = payload
+def _kernel_rows(V, L, xi, a_grid, b_grid, steps):
     rows = []
     for a in a_grid:
         for b in b_grid:
@@ -181,17 +166,13 @@ def _task_kernel(payload):
                 rows.append(
                     ["kernel_ratio", xi, a, b, L, re, im, target, abs(value - target), "ok"]
                 )
-            except Exception as exc:  # noqa: BLE001 - recorded per row
+            except Exception as exc:  # noqa: BLE001 - recorded per (a, b) pair
                 rows.append(["kernel_ratio", xi, a, b, L, "", "", "", "", f"error: {exc}"])
     return rows
 
 
-def _task_clock(payload):
-    V, L, xi_star, depth, steps = payload
-    try:
-        report = clock_statistics(V, L, xi_star, depth, steps=steps)
-    except Exception as exc:  # noqa: BLE001
-        return [[L, xi_star, "", "", "", "", f"error: {exc}"]]
+def _clock_rows(V, L, xi_star, depth, steps):
+    report = clock_statistics(V, L, xi_star, depth, steps=steps)
     rows = []
     window = report.window
     for i, stat in enumerate(report.statistics):
@@ -201,12 +182,8 @@ def _task_clock(payload):
     return rows
 
 
-def _task_dos(payload):
-    V, L, interval, bins, steps = payload
-    try:
-        est = density_of_states(V, L, interval, bins, steps=steps)
-    except Exception as exc:  # noqa: BLE001
-        return [[L, "", "", "", "", "", "", f"error: {exc}"]]
+def _dos_rows(V, L, interval, bins, steps):
+    est = density_of_states(V, L, interval, bins, steps=steps)
     rows = []
     for i in range(len(est.counts)):
         free = est.free_masses[i]
@@ -230,28 +207,8 @@ def _probe_params_text(parameters: dict) -> str:
     return ";".join(parts)
 
 
-def _task_verify(payload):
-    cfg_probe, params = payload
-    try:
-        if cfg_probe == "one_bump":
-            probe = probe_one_bump(params["lam"], params["xi"], steps=params["steps"])
-        elif cfg_probe == "transfer_bound":
-            probe = probe_transfer_bound(
-                params["m"], params["x_grid"], params["t_grid"]
-            )
-        elif cfg_probe == "truncation_step":
-            probe = probe_truncation_step(
-                params["V"], params["ell"], params["xi"], params["x_grid"],
-                steps=params["steps"],
-            )
-        elif cfg_probe == "kappa_schedule":
-            lams = [(n + 1) ** (-0.25) for n in range(params["count"])]
-            ms = staircase_m(lams, m_max=params["m"])
-            probe = probe_kappa_schedule(lams, ms)
-        else:
-            raise ValueError(f"unknown probe {cfg_probe!r}")
-    except Exception as exc:  # noqa: BLE001
-        return [[cfg_probe, "", "", "", "", f"error: {exc}"]]
+def _probe_rows(call):
+    probe = call()
     ref = probe.reference if probe.reference is not None else ""
     return [
         [probe.lemma_id, _probe_params_text(probe.parameters), probe.measured, ref,
@@ -259,27 +216,78 @@ def _task_verify(payload):
     ]
 
 
-def _task_hatn(payload):
-    V, ell, tolerance, window, ab_bound, steps = payload
-    try:
-        value = empirical_hat_N(V, ell, tolerance, window, ab_bound, steps=steps)
-        return [[ell, tolerance, window[0], window[1], ab_bound, value, "ok"]]
-    except Exception as exc:  # noqa: BLE001 - recorded per row
-        return [[ell, tolerance, window[0], window[1], ab_bound, "", f"error: {exc}"]]
+def _hatn_rows(V, ell, tolerance, window, ab_bound, steps):
+    value = empirical_hat_N(V, ell, tolerance, window, ab_bound, steps=steps)
+    return [[ell, tolerance, window[0], window[1], ab_bound, value, "ok"]]
 
 
-_TASK_FNS = {
-    "kernel": _task_kernel,
-    "clock": _task_clock,
-    "dos": _task_dos,
-    "verify": _task_verify,
-    "hatn": _task_hatn,
+def _kappa_probe(count: int, m_max: int):
+    lams = [(n + 1) ** (-0.25) for n in range(count)]
+    return probe_kappa_schedule(lams, staircase_m(lams, m_max=m_max))
+
+
+# Each probe, in suite order: the fewest bumps a potential needs for the
+# suite to run it, and its picklable call built from a config and potential.
+PROBES = {
+    "one_bump": (0, lambda cfg, V: partial(
+        probe_one_bump, cfg.probe_lambda, cfg.probe_xi, steps=cfg.steps_per_bump)),
+    "transfer_bound": (0, lambda cfg, V: partial(
+        probe_transfer_bound, cfg.probe_m, tuple(np.geomspace(1.0, 100.0, 9)),
+        (-1.0, -0.5, 0.0, 0.5, 1.0))),
+    "kappa_schedule": (0, lambda cfg, V: partial(_kappa_probe, cfg.probe_count, cfg.probe_m)),
+    "truncation_step": (2, lambda cfg, V: partial(
+        probe_truncation_step, V, cfg.probe_ell, cfg.probe_xi,
+        _truncation_grid(V, cfg.probe_ell), steps=cfg.steps_per_bump)),
 }
 
 
-def _run_task(item):
-    kind, payload = item
-    return _TASK_FNS[kind](payload)
+def _truncation_grid(V: PearsonPotential, ell: int) -> tuple[float, ...]:
+    if ell + 1 > V.bump_count:
+        return (1.0,)
+    lo = V.centers[ell]
+    hi = V.centers[ell + 1] if ell + 1 < V.bump_count else lo + 10.0
+    return tuple(np.linspace(lo, hi, 5))
+
+
+def _tasks(cfg: ExperimentConfig, V: PearsonPotential) -> list:
+    """The tasks of one experiment on V, in row order."""
+    steps = cfg.steps_per_bump
+    if cfg.kind == "kernel":
+        return [
+            ("kernel", ("kernel_ratio", xi), _kernel_rows,
+             (V, L, xi, cfg.a_grid, cfg.b_grid, steps))
+            for L in cfg.l_grid for xi in cfg.xi_grid
+        ]
+    if cfg.kind == "clock":
+        return [
+            ("clock", (L, cfg.xi_star), _clock_rows, (V, L, cfg.xi_star, cfg.depth, steps))
+            for L in cfg.l_grid
+        ]
+    if cfg.kind == "dos":
+        return [
+            ("dos", (L,), _dos_rows, (V, L, cfg.interval, cfg.bins, steps)) for L in cfg.l_grid
+        ]
+    if cfg.kind == "verify":
+        # a suite is the individual probes as independent parallel tasks
+        names = (
+            [name for name, (bumps, _) in PROBES.items() if V.bump_count >= bumps]
+            if cfg.probe == "suite"
+            else [cfg.probe]
+        )
+        return [("verify", (name,), _probe_rows, (PROBES[name][1](cfg, V),)) for name in names]
+    keys = (cfg.ell, cfg.tolerance, *cfg.interval, cfg.ab_bound)
+    args = (V, cfg.ell, cfg.tolerance, cfg.interval, cfg.ab_bound, steps)
+    return [("hatn", keys, _hatn_rows, args)]
+
+
+def _run_task(task):
+    """A task's rows; an exception is recorded as one error row under its key columns."""
+    kind, keys, fn, args = task
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - recorded as the task's row
+        pad = [""] * (len(HEADERS[kind]) - len(keys) - 1)
+        return [[*keys, *pad, f"error: {exc}"]]
 
 
 def _execute(tasks, workers: int):
@@ -329,47 +337,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 def run(cfg: ExperimentConfig) -> int:
     """Dispatch one experiment; returns the process exit status."""
     cfg.validate()
-    V = cfg.potential.build()
-    steps = cfg.steps_per_bump
-    tasks = []
-    if cfg.kind == "kernel":
-        for L in cfg.l_grid:
-            for xi in cfg.xi_grid:
-                tasks.append(("kernel", (V, L, xi, cfg.a_grid, cfg.b_grid, steps)))
-    elif cfg.kind == "clock":
-        for L in cfg.l_grid:
-            tasks.append(("clock", (V, L, cfg.xi_star, cfg.depth, steps)))
-    elif cfg.kind == "dos":
-        for L in cfg.l_grid:
-            tasks.append(("dos", (V, L, cfg.interval, cfg.bins, steps)))
-    elif cfg.kind == "verify":
-        # a suite is the individual probes as independent parallel tasks
-        probes = (
-            ["one_bump", "transfer_bound", "kappa_schedule"]
-            + (["truncation_step"] if V.bump_count >= 2 else [])
-            if cfg.probe == "suite"
-            else [cfg.probe]
-        )
-        for name in probes:
-            params = {
-                "lam": cfg.probe_lambda,
-                "xi": cfg.probe_xi,
-                "m": cfg.probe_m,
-                "ell": cfg.probe_ell,
-                "count": cfg.probe_count,
-                "steps": steps,
-                "V": V,
-                "x_grid": tuple(np.geomspace(1.0, 100.0, 9))
-                if name == "transfer_bound"
-                else _truncation_grid(V, cfg.probe_ell),
-                "t_grid": (-1.0, -0.5, 0.0, 0.5, 1.0),
-            }
-            tasks.append(("verify", (name, params)))
-    elif cfg.kind == "hatn":
-        tasks.append(
-            ("hatn", (V, cfg.ell, cfg.tolerance, cfg.interval, cfg.ab_bound, steps))
-        )
-    results = _execute(tasks, cfg.workers)
+    results = _execute(_tasks(cfg, cfg.potential.build()), cfg.workers)
     rows = [row for chunk in results for row in chunk]
     write_csv(cfg.out, HEADERS[cfg.kind], rows)
     failures = [row for row in rows if str(row[-1]).startswith("error")]
@@ -379,14 +347,6 @@ def run(cfg: ExperimentConfig) -> int:
         print(f"{len(failures)} of {len(rows)} rows failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _truncation_grid(V: PearsonPotential, ell: int) -> tuple[float, ...]:
-    if ell + 1 > V.bump_count:
-        return (1.0,)
-    lo = V.centers[ell]
-    hi = V.centers[ell + 1] if ell + 1 < V.bump_count else lo + 10.0
-    return tuple(np.linspace(lo, hi, 5))
 
 
 # -- headline reproduction -----------------------------------------------------
@@ -421,43 +381,41 @@ def reproduce_headline(
     over [1, 4]).
     """
     os.makedirs(outdir, exist_ok=True)
-    spec = canonical_potential()
-    V = spec.build()
+    V = canonical_potential().build()
     ab = tuple(np.linspace(-2.0, 2.0, 9))
     xi_list = (0.5, 1.0, 2.0)
 
-    tasks = [("kernel", (V, L, xi, ab, ab, steps)) for L in l_grid for xi in xi_list]
-    results = _execute(tasks, workers)
+    kernel = ExperimentConfig(
+        "kernel", xi_grid=xi_list, l_grid=l_grid, a_grid=ab, b_grid=ab, steps_per_bump=steps
+    )
+    results = _execute(_tasks(kernel, V), workers)
     kernel_rows = []
-    i = 0
-    for L in l_grid:
-        for xi in xi_list:
-            chunk = results[i]
-            i += 1
-            errs = [row[8] for row in chunk if row[9] == "ok"]
-            status = "ok" if len(errs) == len(chunk) else "error: some pairs failed"
-            kernel_rows.append([L, xi, max(errs) if errs else "", status])
+    for (L, xi), chunk in zip([(L, xi) for L in l_grid for xi in xi_list], results):
+        errs = [row[8] for row in chunk if row[9] == "ok"]
+        status = "ok" if len(errs) == len(chunk) else "error: some pairs failed"
+        kernel_rows.append([L, xi, max(errs) if errs else "", status])
     write_csv(
         os.path.join(outdir, "kernel_convergence.csv"),
         ["L", "xi", "sup_abs_error", "status"],
         kernel_rows,
     )
 
-    tasks = [("clock", (V, L, 1.0, 3, steps)) for L in l_grid]
-    results = _execute(tasks, workers)
+    clock = ExperimentConfig("clock", l_grid=l_grid, xi_star=1.0, depth=3, steps_per_bump=steps)
+    results = _execute(_tasks(clock, V), workers)
     clock_rows = []
     for L, chunk in zip(l_grid, results):
         devs = [row[5] for row in chunk if row[6] == "ok"]
         status = "ok" if devs and len(devs) == len(chunk) else "error: window failed"
-        clock_rows.append([L, 1.0, 3, max(devs) if devs else "", status])
+        clock_rows.append([L, clock.xi_star, clock.depth, max(devs) if devs else "", status])
     write_csv(
         os.path.join(outdir, "clock_convergence.csv"),
         ["L", "xi_star", "depth", "max_deviation", "status"],
         clock_rows,
     )
 
-    tasks = [("dos", (V, L, (1.0, 4.0), 12, steps)) for L in l_grid]
-    results = _execute(tasks, workers)
+    dos = ExperimentConfig("dos", l_grid=l_grid, interval=(1.0, 4.0), bins=12,
+                           steps_per_bump=steps)
+    results = _execute(_tasks(dos, V), workers)
     dos_rows = [row for chunk in results for row in chunk]
     write_csv(os.path.join(outdir, "dos_comparison.csv"), HEADERS["dos"], dos_rows)
 
@@ -467,16 +425,23 @@ def reproduce_headline(
 
 # -- argument parsing ----------------------------------------------------------
 
+# Each experiment's help line and its own flags as config keys. The flag of
+# a key is --key with '-' for '_'; a (flag, key) pair names another flag.
+FLAGS = {
+    "kernel": ("kernel ratio sweep against the sinc target",
+               ("xi_grid", "l_grid", "a_grid", "b_grid")),
+    "clock": ("eigenvalue spacing statistics around xi_star", ("l_grid", "xi_star", "depth")),
+    "dos": ("density of states histogram against the free law", ("l_grid", "interval", "bins")),
+    "verify": ("run quantitative bound probes",
+               ("probe", "probe_lambda", "probe_xi", "probe_m", "probe_ell", "probe_count")),
+    "hatn": ("search the sinc-closeness onset length",
+             ("ell", "tolerance", ("window", "interval"), "ab_bound")),
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--workers", type=int, help=f"worker processes (default ${WORKERS_ENV} or 1)")
-    p.add_argument("--steps-per-bump", type=int, dest="steps_per_bump")
-    p.add_argument(
-        "--seedless", action="store_true",
-        help="reserved; every computation is already deterministic",
-    )
+_FLAG_HELP = {
+    "out": "output CSV path",
+    "workers": f"worker processes (default ${WORKERS_ENV} or 1)",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,49 +451,30 @@ def build_parser() -> argparse.ArgumentParser:
         "eigenvalue statistics, and bound probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    readers = field_readers(ExperimentConfig)
 
-    p = sub.add_parser("kernel", help="kernel ratio sweep against the sinc target")
-    _add_common(p)
-    p.add_argument("--xi-grid", type=float_list, dest="xi_grid")
-    p.add_argument("--l-grid", type=float_list, dest="l_grid")
-    p.add_argument("--a-grid", type=float_list, dest="a_grid")
-    p.add_argument("--b-grid", type=float_list, dest="b_grid")
+    def add_flags(p, keys):
+        for entry in keys:
+            name, key = entry if isinstance(entry, tuple) else (entry, entry)
+            p.add_argument(
+                "--" + name.replace("_", "-"), dest=key, type=readers[key],
+                choices=(*PROBES, "suite") if key == "probe" else None,
+                help=_FLAG_HELP.get(key),
+            )
 
-    p = sub.add_parser("clock", help="eigenvalue spacing statistics around xi_star")
-    _add_common(p)
-    p.add_argument("--l-grid", type=float_list, dest="l_grid")
-    p.add_argument("--xi-star", type=float, dest="xi_star")
-    p.add_argument("--depth", type=int)
-
-    p = sub.add_parser("dos", help="density of states histogram against the free law")
-    _add_common(p)
-    p.add_argument("--l-grid", type=float_list, dest="l_grid")
-    p.add_argument("--interval", type=float_list)
-    p.add_argument("--bins", type=int)
-
-    p = sub.add_parser("verify", help="run quantitative bound probes")
-    _add_common(p)
-    p.add_argument("--probe", choices=(
-        "one_bump", "transfer_bound", "truncation_step", "kappa_schedule", "suite",
-    ))
-    p.add_argument("--probe-lambda", type=float, dest="probe_lambda")
-    p.add_argument("--probe-xi", type=float, dest="probe_xi")
-    p.add_argument("--probe-m", type=int, dest="probe_m")
-    p.add_argument("--probe-ell", type=int, dest="probe_ell")
-    p.add_argument("--probe-count", type=int, dest="probe_count")
-
-    p = sub.add_parser("hatn", help="search the sinc-closeness onset length")
-    _add_common(p)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--window", type=float_list, dest="interval")
-    p.add_argument("--ab-bound", type=float, dest="ab_bound")
+    for kind, (text, keys) in FLAGS.items():
+        p = sub.add_parser(kind, help=text)
+        p.add_argument("--config", help="key = value config file")
+        add_flags(p, ("out", "workers", "steps_per_bump"))
+        p.add_argument(
+            "--seedless", action="store_true",
+            help="reserved; every computation is already deterministic",
+        )
+        add_flags(p, keys)
 
     p = sub.add_parser("reproduce", help="run the built-in desk-scale pipeline")
     p.add_argument("--outdir", default="reproduce_out")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--l-grid", type=float_list, dest="l_grid")
-    p.add_argument("--steps-per-bump", type=int, dest="steps_per_bump")
+    add_flags(p, ("workers", "l_grid", "steps_per_bump"))
     p.add_argument("--seedless", action="store_true", help="reserved; runs are deterministic")
     return parser
 
@@ -559,17 +505,12 @@ def main(argv=None) -> int:
             for key, value in vars(args).items()
             if key not in ("command", "config", "seedless") and value is not None
         }
-        for key, value in overrides.items():
-            setattr(cfg, key, value)
         if args.workers is None and "workers" not in mapping:
-            cfg.workers = _default_workers()
-        return run(cfg)
+            overrides["workers"] = _default_workers()
+        return run(replace(cfg, **overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except HatNSearchError as exc:
-        print(f"search failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

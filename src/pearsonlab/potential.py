@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable, Sequence
 
 __all__ = [
@@ -234,43 +234,26 @@ def empirical_hat_N(
 
 # ---------------------------------------------------------------------------
 # plain-text potential specifications
-#
-# Key-value schema (one `key = value` per line, '#' starts a comment):
-#
-#   profile          = canonical
-#   amplitude_rule   = list | power          (power: lam_n = c * n^(-p))
-#   amplitude_values = 0.5, 0.25             (list rule)
-#   amplitude_c      = 1.0                   (power rule)
-#   amplitude_p      = 0.25                  (power rule)
-#   center_rule      = list | geometric
-#   center_values    = 10, 100               (list rule)
-#   center_n1        = 10                    (geometric rule)
-#   center_gamma     = 10                    (geometric rule)
-#   count            = 12                    (bump count for rule-based specs)
 # ---------------------------------------------------------------------------
-
-
-POTENTIAL_KEYS = frozenset({
-    "profile", "amplitude_rule", "amplitude_values", "amplitude_c",
-    "amplitude_p", "center_rule", "center_values", "center_n1",
-    "center_gamma", "count",
-})
 
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Declarative description of a PearsonPotential, serializable as text."""
+    """Declarative description of a PearsonPotential, serializable as text.
+
+    Each field is a key of the `key = value` text format.
+    """
 
     profile: str = "canonical"
-    amplitude_rule: str = "list"
-    amplitude_values: tuple[float, ...] = ()
-    amplitude_c: float = 1.0
-    amplitude_p: float = 0.25
-    center_rule: str = "list"
-    center_values: tuple[float, ...] = ()
-    center_n1: float = 10.0
-    center_gamma: float = 10.0
-    count: int = 0
+    amplitude_rule: str = "list"  # list | power (power: lam_n = c * n^(-p))
+    amplitude_values: tuple[float, ...] = ()  # list rule
+    amplitude_c: float = 1.0  # power rule
+    amplitude_p: float = 0.25  # power rule
+    center_rule: str = "list"  # list | geometric
+    center_values: tuple[float, ...] = ()  # list rule
+    center_n1: float = 10.0  # geometric rule
+    center_gamma: float = 10.0  # geometric rule
+    count: int = 0  # bump count for rule-based specs
 
     def build(self) -> PearsonPotential:
         if self.profile != "canonical":
@@ -291,41 +274,55 @@ class PotentialSpec:
         raise ValueError(f"unknown center_rule {self.center_rule!r}")
 
 
+POTENTIAL_KEYS = frozenset(f.name for f in fields(PotentialSpec))
+
+
 def float_list(text: str) -> tuple[float, ...]:
     """The floats of a comma-separated list; empty entries are skipped."""
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
+def field_readers(schema) -> dict[str, Callable[[str], object]]:
+    """How the text of each settable field of a dataclass is read.
+
+    A field is settable when it has a plain default. Its text is read as
+    the type of that default, a tuple by float_list and an unset (None)
+    default as an int.
+    """
+    return {
+        f.name: float_list if isinstance(f.default, tuple)
+        else int if f.default is None else type(f.default)
+        for f in fields(schema)
+        if f.default is not MISSING
+    }
+
+
+def replace_fields(obj, mapping: dict[str, str]):
+    """A copy of the dataclass obj with each key's text read into its field.
+
+    A key that is not a settable field, or a value that does not convert,
+    raises ValueError naming the key.
+    """
+    readers = field_readers(obj)
+    changes = {}
+    for key, text in mapping.items():
+        if key not in readers:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            changes[key] = readers[key](text)
+        except ValueError as exc:
+            raise ValueError(f"key {key!r}: {exc}") from exc
+    return replace(obj, **changes)
+
+
 def potential_spec_from_mapping(mapping: dict[str, str]) -> PotentialSpec:
     """Build a PotentialSpec from already-parsed key/value pairs.
 
-    A value that does not convert raises ValueError naming its key.
+    Without a count key, count is the number of amplitude values.
     """
-    unknown = set(mapping) - POTENTIAL_KEYS
-    if unknown:
-        raise ValueError(f"unknown potential keys: {sorted(unknown)}")
-
-    def get(key, convert, default):
-        if key not in mapping:
-            return default
-        try:
-            return convert(mapping[key])
-        except ValueError as exc:
-            raise ValueError(f"key {key!r}: {exc}") from exc
-
-    amplitudes = get("amplitude_values", float_list, ())
-    spec = PotentialSpec(
-        profile=mapping.get("profile", "canonical"),
-        amplitude_rule=mapping.get("amplitude_rule", "list"),
-        amplitude_values=amplitudes,
-        amplitude_c=get("amplitude_c", float, 1.0),
-        amplitude_p=get("amplitude_p", float, 0.25),
-        center_rule=mapping.get("center_rule", "list"),
-        center_values=get("center_values", float_list, ()),
-        center_n1=get("center_n1", float, 10.0),
-        center_gamma=get("center_gamma", float, 10.0),
-        count=get("count", int, len(amplitudes)),
-    )
+    spec = replace_fields(PotentialSpec(), mapping)
+    if "count" not in mapping:
+        spec = replace(spec, count=len(spec.amplitude_values))
     spec.build()  # validate eagerly
     return spec
 
@@ -357,18 +354,11 @@ def parse_potential_config(text: str) -> PotentialSpec:
 
 
 def format_potential_config(spec: PotentialSpec) -> str:
-    """Serialize a PotentialSpec in the documented key-value schema."""
-    lines = [f"profile = {spec.profile}", f"amplitude_rule = {spec.amplitude_rule}"]
-    if spec.amplitude_rule == "list":
-        lines.append("amplitude_values = " + ", ".join(f"{v:.17g}" for v in spec.amplitude_values))
-    else:
-        lines.append(f"amplitude_c = {spec.amplitude_c:.17g}")
-        lines.append(f"amplitude_p = {spec.amplitude_p:.17g}")
-    lines.append(f"center_rule = {spec.center_rule}")
-    if spec.center_rule == "list":
-        lines.append("center_values = " + ", ".join(f"{v:.17g}" for v in spec.center_values))
-    else:
-        lines.append(f"center_n1 = {spec.center_n1:.17g}")
-        lines.append(f"center_gamma = {spec.center_gamma:.17g}")
-    lines.append(f"count = {spec.count}")
-    return "\n".join(lines) + "\n"
+    """Serialize a PotentialSpec as one `key = value` line per field."""
+
+    def text(value) -> str:
+        if isinstance(value, tuple):
+            return ", ".join(f"{v:.17g}" for v in value)
+        return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+    return "".join(f"{f.name} = {text(getattr(spec, f.name))}\n" for f in fields(spec))

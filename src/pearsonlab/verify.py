@@ -15,12 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .potential import PearsonPotential
-from .propagate import (
-    bump_transfer,
-    bump_transfer_partial,
-    free_transfer,
-    neumann_solution,
-)
+from .propagate import free_transfer, neumann_solution, transfer_to
 
 __all__ = [
     "BoundProbe",
@@ -136,10 +131,7 @@ def empirical_m_tilde(
 
 def _one_bump_difference(profile, lam, xi, x, steps):
     A = free_transfer(xi, 0.0, x).entries
-    if x <= 1.0:
-        B = bump_transfer_partial(profile, lam, xi, 0.0, x, steps).entries
-    else:
-        B = free_transfer(xi, 1.0, x).entries @ bump_transfer(profile, lam, xi, steps).entries
+    B = transfer_to(PearsonPotential(profile, (lam,), (0.0,)), xi, x, steps=steps).entries
     return _norm2(A - B)
 
 

@@ -111,12 +111,14 @@ class TestConfigRejection:
         assert not out.exists()
 
     def test_unknown_key_rejected_with_location(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("kind = clock\nwobble = 3\n")
-        code = main(["clock", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "wobble" in err
+        # potential is a field of the config but not a key
+        for key, value in (("wobble", "3"), ("potential", "x")):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"kind = clock\n{key} = {value}\n")
+            code = main(["clock", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"unknown config key '{key}'" in err
 
     def test_malformed_line_reports_line_number(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -139,11 +141,119 @@ class TestConfigRejection:
         assert code == 2
         assert "key 'l_grid'" in capsys.readouterr().err
 
+    def test_three_endpoint_interval_rejected(self, tmp_path, capsys):
+        code = main(["dos", "--interval", "1,2,3", "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "config error: interval needs exactly two endpoints" in capsys.readouterr().err
+
     def test_decreasing_l_grid_rejected(self, tmp_path):
         code = main([
             "clock", "--l-grid", "100,50", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+
+class TestSchema:
+    # the flags of the parser before it was built from the config fields:
+    # every flag is a public contract
+    FLAGS = {
+        "kernel": [("--xi-grid", "xi_grid"), ("--l-grid", "l_grid"), ("--a-grid", "a_grid"),
+                   ("--b-grid", "b_grid")],
+        "clock": [("--l-grid", "l_grid"), ("--xi-star", "xi_star"), ("--depth", "depth")],
+        "dos": [("--l-grid", "l_grid"), ("--interval", "interval"), ("--bins", "bins")],
+        "verify": [("--probe", "probe"), ("--probe-lambda", "probe_lambda"),
+                   ("--probe-xi", "probe_xi"), ("--probe-m", "probe_m"),
+                   ("--probe-ell", "probe_ell"), ("--probe-count", "probe_count")],
+        "hatn": [("--ell", "ell"), ("--tolerance", "tolerance"), ("--window", "interval"),
+                 ("--ab-bound", "ab_bound")],
+    }
+    COMMON = [("--config", "config"), ("--out", "out"), ("--workers", "workers"),
+              ("--steps-per-bump", "steps_per_bump"), ("--seedless", "seedless")]
+    REPRODUCE = [("--outdir", "outdir"), ("--workers", "workers"), ("--l-grid", "l_grid"),
+                 ("--steps-per-bump", "steps_per_bump"), ("--seedless", "seedless")]
+
+    # one value per config key, as text and as read
+    KEYS = {
+        "xi_grid": ("0.5, 2", (0.5, 2.0)),
+        "l_grid": ("50, 100", (50.0, 100.0)),
+        "a_grid": ("-1, 1", (-1.0, 1.0)),
+        "b_grid": ("0.25", (0.25,)),
+        "xi_star": ("1.5", 1.5),
+        "depth": ("4", 4),
+        "interval": ("0.5, 3", (0.5, 3.0)),
+        "bins": ("7", 7),
+        "ell": ("1", 1),
+        "tolerance": ("0.125", 0.125),
+        "ab_bound": ("1", 1.0),
+        "probe": ("suite", "suite"),
+        "probe_lambda": ("1e-4", 1e-4),
+        "probe_xi": ("2", 2.0),
+        "probe_m": ("3", 3),
+        "probe_ell": ("1", 1),
+        "probe_count": ("8", 8),
+        "out": ("o.csv", "o.csv"),
+        "workers": ("2", 2),
+        "steps_per_bump": ("64", 64),
+    }
+
+    def test_flags_of_every_subcommand(self):
+        import argparse
+
+        from pearsonlab.cli import build_parser
+
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        want = {kind: self.COMMON + flags for kind, flags in self.FLAGS.items()}
+        want["reproduce"] = self.REPRODUCE
+        got = {
+            kind: [(a.option_strings[0], a.dest) for a in p._actions if a.dest != "help"]
+            for kind, p in sub.choices.items()
+        }
+        assert got == want
+
+    def test_every_config_field_is_a_key_of_its_type(self, tmp_path, monkeypatch):
+        from dataclasses import fields
+
+        from pearsonlab import cli
+
+        names = {f.name for f in fields(cli.ExperimentConfig)} - {"kind", "potential"}
+        assert names == set(self.KEYS)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {text}\n" for key, (text, _) in self.KEYS.items()))
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda c: seen.append(c) or 0)
+        assert main(["verify", "--config", str(cfg)]) == 0
+        for key, (_, want) in self.KEYS.items():
+            value = getattr(seen[0], key)
+            assert value == want and type(value) is type(want), key
+
+
+class TestErrorRows:
+    # a failing task's row keeps its key columns and pads the rest, as the
+    # per-kind handlers wrote it before one handler served every task
+    STEPS = "error: bump integration requires at least 16 steps"
+    CASES = {
+        "kernel": (["--xi-grid", "1", "--l-grid", "50"],
+                   ["kernel_ratio", "1", "0", "0", "50", "", "", "", "", STEPS]),
+        "clock": (["--l-grid", "50", "--depth", "1"], ["50", "1", "", "", "", "", STEPS]),
+        "dos": (["--l-grid", "50"], ["50", "", "", "", "", "", "", STEPS]),
+        "verify": (["--probe", "truncation_step", "--probe-ell", "5"],
+                   ["truncation_step", "", "", "", "",
+                    "error: the truncation probe needs bump ell + 1 to exist"]),
+        "hatn": (["--ell", "1"], ["1", "0.050000000000000003", "1", "4", "2", "", STEPS]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_failing_task_row(self, kind, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("amplitude_values = 0.5\ncenter_values = 10\n")
+        args, want = self.CASES[kind]
+        out = tmp_path / "e.csv"
+        code = main([kind, "--config", str(cfg), "--steps-per-bump", "0", *args,
+                     "--out", str(out)])
+        assert code == 1
+        assert read_csv(str(out))[1] == [want]
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -230,6 +231,7 @@ class TestConfigRoundTrip:
         )
         text = format_potential_config(spec)
         back = parse_potential_config(text)
+        assert back == spec
         assert back.build() == spec.build()
 
     def test_power_geometric_round_trip(self):
@@ -270,6 +272,20 @@ class TestConfigRoundTrip:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: duplicate key 'count'"):
             parse_potential_config("count = 3\ncount = 5\n")
+
+    def test_list_spec_without_count_counts_amplitudes(self):
+        spec = parse_potential_config("amplitude_values = 0.5, 0.25\ncenter_values = 10, 100\n")
+        assert spec.count == len(spec.amplitude_values) == 2
+
+    def test_every_field_is_a_key_of_its_default_type(self):
+        spec = parse_potential_config(
+            "profile = canonical\namplitude_rule = power\namplitude_values = 0.5\n"
+            "amplitude_c = 2\namplitude_p = 0.5\ncenter_rule = geometric\n"
+            "center_values = 10\ncenter_n1 = 20\ncenter_gamma = 3\ncount = 2\n"
+        )
+        assert pl.potential.POTENTIAL_KEYS == {f.name for f in fields(pl.PotentialSpec)}
+        for f in fields(pl.PotentialSpec):
+            assert type(getattr(spec, f.name)) is type(f.default), f.name
 
     def test_hyphenated_key_read_as_underscore(self):
         spec = parse_potential_config(

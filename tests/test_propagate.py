@@ -460,6 +460,12 @@ class TestDeterminantConservation:
         with pytest.raises(DeterminantDriftError):
             pl.TransferMatrix(bad, 0.0, 1.0)
 
+    def test_rounding_of_large_entries_is_not_drift(self):
+        # |ad| + |bc| is about 9.6e7 here, so evaluating ad - bc alone
+        # rounds by about 2e-8, above the 2.9e-9 per-unit budget
+        T = pl.free_transfer(0.1 + 0.3j, 1.0, 30.0)
+        assert abs(T.det() - 1.0) > 1e-10 * 29.0
+
 
 class TestComplexStripBoundedness:
     def test_norms_do_not_grow_past_thousand(self):
