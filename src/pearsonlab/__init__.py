@@ -34,7 +34,6 @@ from .propagate import (
     free_transfer_dxi,
     neumann_solution,
     principal_sqrt,
-    propagate_extended,
     propagate_to,
     reconstruct_state,
     segments,

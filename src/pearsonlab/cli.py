@@ -111,6 +111,8 @@ class ExperimentConfig:
                 raise ConfigError("bins must be at least 1")
         if self.kind == "verify" and self.probe not in (*PROBES, "suite"):
             raise ConfigError(f"unknown probe {self.probe!r}")
+        if self.kind == "verify" and self.probe_ell < 0:
+            raise ConfigError("probe_ell must be non-negative")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         try:

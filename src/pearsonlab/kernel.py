@@ -252,7 +252,7 @@ def cd_diagonal(
 
 
 @lru_cache(maxsize=4096)
-def _diagonal_value(V: PearsonPotential, xi: float, L: float, steps: int | None) -> float:
+def _diagonal_value(V: PearsonPotential, xi: float, L: float, steps: int) -> float:
     return cd_diagonal(V, xi, L, steps=steps).value
 
 
@@ -277,7 +277,7 @@ def kernel_ratio(
         raise ValueError("the kernel needs L > 0")
     alpha, beta = _shifted(xi, a, b, L)
     num = cd_formula(V, alpha, beta, L, steps=steps).value
-    den = _diagonal_value(V, xi, float(L), steps)
+    den = _diagonal_value(V, xi, float(L), _steps_or_default(steps))
     return num / den
 
 

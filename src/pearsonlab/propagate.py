@@ -6,8 +6,9 @@ Magnus map across bump supports. Each Magnus step is a closed-form 2x2
 exponential of a trace-free matrix, so bump maps keep det = 1 to
 rounding and come with their xi-derivative in closed form; the steps of
 a map are folded together as 4x4 block-triangular products that carry T
-and dT/dxi at once. Every walker is a fold of the per-piece maps
-(T, dT/dxi) over segments().
+and dT/dxi at once. Every walker, the phase walk of spectrum included, is
+a fold over the one stream of per-piece maps (T, dT/dxi) of _piece_maps,
+which halves bump pieces too strong for a Prufer angle to be read off.
 
 A full-bump map T(xi) is entire in xi (Poschel and Trubowitz 1987). Its
 Taylor coefficients in xi - xi0 up to degree 15 (the bump's jet) are read
@@ -55,7 +56,6 @@ __all__ = [
     "dirichlet_solution",
     "variation_coeffs",
     "variation_coeffs_from_state",
-    "propagate_extended",
     "extended_neumann",
 ]
 
@@ -211,8 +211,8 @@ class TransferMatrix:
         return (e[0, 0] * u + e[0, 1] * du, e[1, 0] * u + e[1, 1] * du)
 
 
-def free_transfer(xi, x0: float, x1: float) -> TransferMatrix:
-    """Closed-form transfer across a potential-free stretch [x0, x1]."""
+def _free_maps(xi, x0: float, x1: float):
+    """(T, dT/dxi) across a potential-free stretch [x0, x1], in closed form."""
     if x1 < x0:
         raise ValueError("free transfer requires x1 >= x0")
     xi = _as_scalar(xi)
@@ -222,22 +222,19 @@ def free_transfer(xi, x0: float, x1: float) -> TransferMatrix:
     c = _cos(z)
     sc = sinc(z)
     dtype = complex if isinstance(z, complex) else float
-    entries = np.array([[c, d * sc], [-xi * d * sc, c]], dtype=dtype)
-    return TransferMatrix(entries, float(x0), float(x1))
+    T = TransferMatrix(np.array([[c, d * sc], [-xi * d * sc, c]], dtype=dtype), float(x0), float(x1))
+    t11 = -0.5 * d * d * sc
+    return T, np.array([[t11, 0.5 * d * d * d * _gcub(z)], [-0.5 * d * (sc + c), t11]], dtype=dtype)
+
+
+def free_transfer(xi, x0: float, x1: float) -> TransferMatrix:
+    """Closed-form transfer across a potential-free stretch [x0, x1]."""
+    return _free_maps(xi, x0, x1)[0]
 
 
 def free_transfer_dxi(xi, x0: float, x1: float) -> np.ndarray:
     """Entrywise d/dxi of the free transfer matrix, in closed form."""
-    xi = _as_scalar(xi)
-    s = principal_sqrt(xi)
-    d = float(x1) - float(x0)
-    z = s * d
-    sc = sinc(z)
-    t11 = -0.5 * d * d * sc
-    t12 = 0.5 * d * d * d * _gcub(z)
-    t21 = -0.5 * d * (sc + _cos(z))
-    dtype = complex if isinstance(z, complex) else float
-    return np.array([[t11, t12], [t21, t11]], dtype=dtype)
+    return _free_maps(xi, x0, x1)[1]
 
 
 # -- bump maps ---------------------------------------------------------------
@@ -483,16 +480,37 @@ def segments(V: PearsonPotential, x0: float, x1: float):
     return out
 
 
+def _bump_pieces(profile: BumpProfile, lam: float, la: float, lb: float, steps: int):
+    """[la, lb] of one bump as (la, lb, lam int W) pieces, halved while
+    lb - la + |lam| int W >= pi."""
+    w = lam * _gauss_samples(profile, la, lb, steps)[3]
+    if lb - la + abs(w) < math.pi:
+        return ((la, lb, w),)
+    mid = 0.5 * (la + lb)
+    return _bump_pieces(profile, lam, la, mid, steps) + _bump_pieces(profile, lam, mid, lb, steps)
+
+
 def _piece_maps(V: PearsonPotential, xi, x0: float, x1: float, steps: int):
-    """(T, dT/dxi) for each piece of segments(V, x0, x1), in walking order."""
+    """(T, dT/dxi, length, lam int W) for each piece of (x0, x1], in walking order.
+
+    Free gaps are the free pieces of segments(V, x0, x1), with lam int W
+    None. A bump piece of length d is halved until d + |lam| int W < pi.
+    For any xi > 0 and sigma = max(1, sqrt(xi)) the Prufer angle of scale
+    sigma then turns across each piece by ((sigma^2 + xi) d - lam int W)/(2 sigma)
+    give or take (|sigma^2 - xi| d + |lam| int W)/(2 sigma) < pi/2, so a
+    walker can read its branch off the piece's T; full bumps use the jet.
+    """
     for seg in segments(V, x0, x1):
         if seg[0] == "free":
             _, a, b = seg
-            yield free_transfer(xi, a, b).entries, free_transfer_dxi(xi, a, b)
+            T, D = _free_maps(xi, a, b)
+            yield T.entries, D, b - a, None
         else:
             _, a, b, k = seg
-            c = V.centers[k]
-            yield _bump_map(V.profile, V.amplitudes[k], xi, a - c, b - c, steps)
+            c, lam = V.centers[k], V.amplitudes[k]
+            la, lb = (0.0, 1.0) if _is_full_bump(a - c, b - c) else (a - c, b - c)
+            for la, lb, w in _bump_pieces(V.profile, lam, la, lb, steps):
+                yield (*_bump_map(V.profile, lam, xi, la, lb, steps), lb - la, w)
 
 
 def propagate_to(
@@ -504,7 +522,7 @@ def propagate_to(
         raise ValueError("propagation target must not precede the current position")
     xi = _as_scalar(xi)
     y = np.array([state.u, state.du], dtype=np.result_type(state.u, state.du, xi))
-    for T, _ in _piece_maps(V, xi, state.x, target, steps):
+    for T, *_ in _piece_maps(V, xi, state.x, target, steps):
         y = T @ y
     return SolutionState(y[0], y[1], float(target))
 
@@ -545,7 +563,7 @@ def transfer_to(
     steps = _steps_or_default(steps)
     xi = _as_scalar(xi)
     T = np.eye(2, dtype=complex if isinstance(xi, complex) else float)
-    for piece, _ in _piece_maps(V, xi, 0.0, x, steps):
+    for piece, *_ in _piece_maps(V, xi, 0.0, x, steps):
         T = piece @ T
     return TransferMatrix(T, 0.0, float(x))
 
@@ -591,31 +609,19 @@ def reconstruct_state(coeffs: VariationCoeffs, xi) -> tuple:
 # -- xi-derivative propagation ------------------------------------------------
 
 
-def propagate_extended(
-    V: PearsonPotential, xi, target: float, ext: ExtendedState, *, steps: int | None = None
-) -> ExtendedState:
-    """Evolve (u, u', du/dxi, du'/dxi) to target for real xi.
-
-    The derivative pair obeys v'' = (V - xi) v - u; each piece maps it by
-    (T, dT/dxi) as (v, v') -> T (v, v') + dT/dxi (u, u').
-    """
-    steps = _steps_or_default(steps)
-    xi = _as_scalar(xi)
-    if isinstance(xi, complex):
-        raise ValueError("extended propagation is defined for real xi only")
-    if target < ext.x:
-        raise ValueError("propagation target must not precede the current position")
-    y = np.array([ext.u, ext.du], dtype=float)
-    v = np.array([ext.u_xi, ext.du_xi], dtype=float)
-    for T, D in _piece_maps(V, xi, ext.x, target, steps):
-        y, v = T @ y, T @ v + D @ y
-    return ExtendedState(y[0], y[1], v[0], v[1], float(target))
-
-
 def extended_neumann(
     V: PearsonPotential, xi, x: float, *, steps: int | None = None
 ) -> ExtendedState:
-    """Neumann solution with its xi-derivative pair; boundary data is
-    xi-independent, so the derivative pair starts at (0, 0)."""
-    start = ExtendedState(1.0, 0.0, 0.0, 0.0, 0.0)
-    return propagate_extended(V, xi, x, start, steps=steps)
+    """Neumann solution with its xi-derivative pair, for real xi.
+
+    The derivative pair v obeys v'' = (V - xi) v - u and starts at (0, 0),
+    since the boundary data is xi-independent; each piece maps it by
+    (T, dT/dxi) as v -> T v + dT/dxi (u, u').
+    """
+    xi = _as_scalar(xi)
+    if isinstance(xi, complex):
+        raise ValueError("extended propagation is defined for real xi only")
+    y, v = np.array([1.0, 0.0]), np.zeros(2)
+    for T, D, *_ in _piece_maps(V, xi, 0.0, x, _steps_or_default(steps)):
+        y, v = T @ y, T @ v + D @ y
+    return ExtendedState(y[0], y[1], v[0], v[1], float(x))

@@ -24,15 +24,7 @@ import numpy as np
 from .config import DEFAULTS
 from .kernel import rho
 from .potential import PearsonPotential
-from .propagate import (
-    _as_scalar,
-    _bump_map,
-    _gauss_samples,
-    _steps_or_default,
-    free_transfer,
-    free_transfer_dxi,
-    segments,
-)
+from .propagate import _as_scalar, _piece_maps, _steps_or_default
 
 __all__ = [
     "EigenvalueWindow",
@@ -143,38 +135,39 @@ def phase(V: PearsonPotential, xi: float, L: float, *, steps: int | None = None)
 
 
 def _phase_walk(V: PearsonPotential, xi: float, L: float, steps: int):
-    """(theta, dtheta/dxi, cos theta) at L in one walk over segments(V, 0, L).
+    """(theta, dtheta/dxi, cos theta) at L in one fold over _piece_maps(V, xi, 0, L).
 
     The Neumann pair y = (u, u') and its xi-derivative v = (u_xi, u'_xi)
-    ride along with the angle, each piece mapping them by its (T, dT/dxi);
-    after every piece all four are divided by |y|, which leaves their
-    ratios exact and keeps them from overflowing. From the final pair,
+    are mapped by each piece's (T, dT/dxi) as in neumann_solution, and
+    scaled by a power of two once |y| leaves (2^-64, 2^64), so they cannot
+    overflow and y stays exactly proportional to neumann_solution's pair.
+    A free gap advances the angle by sqrt(xi) times its length. Across a
+    bump piece the angle of scale sigma = max(1, sqrt(xi)) is read off y
+    modulo 2 pi, on the branch nearest the guess
+    phi + ((sigma^2 + xi) d - lam int W)/(2 sigma) of the Prufer equation
+    phi' = sigma cos^2 + ((xi - lam W)/sigma) sin^2; the stream keeps every
+    piece short enough that the true angle lies within pi/2 of it. From
+    the final pair,
     dtheta/dxi = [u u'/(2 sqrt(xi)) + sqrt(xi) (u' u_xi - u u'_xi)] / (xi u^2 + u'^2),
     where u' u_xi - u u'_xi is the positive norm integral int_0^L u^2, and
-    cos theta = u' / sqrt(xi u^2 + u'^2) is read off the pair to full
-    relative precision.
+    cos theta = u' / sqrt(xi u^2 + u'^2) to full relative precision.
     """
     s = math.sqrt(xi)
     sigma = max(1.0, s)
     theta = 0.5 * math.pi
-    y = np.array([1.0, 0.0])
-    v = np.zeros(2)
-    for seg in segments(V, 0.0, L):
-        if seg[0] == "free":
-            _, a, b = seg
-            theta += s * (b - a)
-            T, D = free_transfer(xi, a, b).entries, free_transfer_dxi(xi, a, b)
-            y, v = T @ y, T @ v + D @ y
+    y, v = np.array([1.0, 0.0]), np.zeros(2)
+    for T, D, d, w in _piece_maps(V, xi, 0.0, L, steps):
+        y, v = T @ y, T @ v + D @ y
+        if w is None:
+            theta += s * d
         else:
-            _, a, b, k = seg
-            c = V.centers[k]
-            phi = _rescale_angle(theta, s, sigma)
-            phi, y, v = _bump_phase(
-                V.profile, V.amplitudes[k], xi, sigma, phi, y, v, a - c, b - c, steps
-            )
+            guess = _rescale_angle(theta, s, sigma) + ((sigma * sigma + xi) * d - w) / (2.0 * sigma)
+            phi = guess + math.remainder(math.atan2(sigma * y[0], y[1]) - guess, 2.0 * math.pi)
             theta = _rescale_angle(phi, sigma, s)
         r = math.hypot(y[0], y[1])
-        y, v = y / r, v / r
+        if not 2.0**-64 < r < 2.0**64:
+            scale = math.ldexp(1.0, -math.frexp(r)[1])
+            y, v = y * scale, v * scale
     (u, du), (u_xi, du_xi) = y.tolist(), v.tolist()
     r2 = xi * u * u + du * du
     slope = (0.5 * u * du / s + s * (du * u_xi - u * du_xi)) / r2
@@ -188,30 +181,6 @@ def _rescale_angle(theta: float, scale: float, new_scale: float) -> float:
         return theta
     raw = math.atan2(new_scale * math.sin(theta), scale * math.cos(theta))
     return theta + math.remainder(raw - theta, 2.0 * math.pi)
-
-
-def _bump_phase(profile, lam, xi, sigma, phi, y, v, la, lb, steps):
-    """Advance the angle of scale sigma and the pairs (y, v) across [la, lb]
-    of one bump.
-
-    The transfer matrix fixes the angle modulo 2 pi. The branch comes from
-    the Prufer equation phi' = sigma cos^2 + ((xi - lam W)/sigma) sin^2,
-    whose integral over the piece lies within half_width of guess - phi;
-    a piece whose half-width is not below pi/2 is split in two. The scale
-    sigma = max(1, sqrt(xi)) keeps the half-width bounded as xi -> 0.
-    """
-    d = lb - la
-    int_w = _gauss_samples(profile, la, lb, steps)[3]
-    half_width = (abs(sigma * sigma - xi) * d + abs(lam) * int_w) / (2.0 * sigma)
-    if half_width >= 0.5 * math.pi:
-        mid = 0.5 * (la + lb)
-        phi, y, v = _bump_phase(profile, lam, xi, sigma, phi, y, v, la, mid, steps)
-        return _bump_phase(profile, lam, xi, sigma, phi, y, v, mid, lb, steps)
-    T, D = _bump_map(profile, lam, xi, la, lb, steps)
-    y, v = T @ y, T @ v + D @ y
-    guess = phi + ((sigma * sigma + xi) * d - lam * int_w) / (2.0 * sigma)
-    phi = guess + math.remainder(math.atan2(sigma * y[0], y[1]) - guess, 2.0 * math.pi)
-    return phi, y, v
 
 
 def eigenvalue_count(V: PearsonPotential, xi: float, L: float, *, steps: int | None = None) -> int:

@@ -146,6 +146,17 @@ class TestConfigRejection:
         assert code == 2
         assert "config error: interval needs exactly two endpoints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ell", ["-5", "-1"])
+    def test_negative_probe_ell_rejected(self, ell, tmp_path, capsys):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("amplitude_values = 0.5, 0.25\ncenter_values = 10, 100\n")
+        out = tmp_path / "v.csv"
+        code = main(["verify", "--config", str(cfg), "--probe", "truncation_step",
+                     "--probe-ell", ell, "--out", str(out)])
+        assert code == 2
+        assert "config error: probe_ell must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decreasing_l_grid_rejected(self, tmp_path):
         code = main([
             "clock", "--l-grid", "100,50", "--out", str(tmp_path / "x.csv"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pearsonlab as pl
+from pearsonlab import kernel
 
 from util import bump_potentials, cell_edge_pairs, free_kernel, free_kernel_ratio, sinc, two_bump
 
@@ -191,6 +192,14 @@ class TestKernelRatio:
     def test_complex_strip_arguments(self):
         v = pl.kernel_ratio(two_bump(), 1.0, 1j, -0.5, 200.0)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+    def test_default_steps_share_a_diagonal_entry(self):
+        V = two_bump()
+        kernel._diagonal_value.cache_clear()
+        pl.kernel_ratio(V, 1.1, 0.5, -0.5, 70.0)
+        pl.kernel_ratio(V, 1.1, 0.5, -0.5, 70.0, steps=pl.DEFAULTS.steps_per_bump)
+        info = kernel._diagonal_value.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestKappa:

@@ -243,6 +243,35 @@ class TestBumpJet:
         assert full == []
 
 
+class TestBumpSplit:
+    """Bump pieces of the piece stream are short enough to pin the Prufer branch."""
+
+    XI = (1e-3, 0.3, 1.0, 2.9)
+
+    def test_large_bump_pieces_below_pi(self):
+        V = pl.PearsonPotential(pl.canonical_bump(), (40.0,), (0.0,))
+        for xi in self.XI:
+            bumps = [(d, w) for _, _, d, w in propagate._piece_maps(V, xi, 0.0, 1.0, 512)]
+            assert len(bumps) > 1
+            assert sum(d for d, _ in bumps) == pytest.approx(1.0, rel=1e-15)
+            assert all(d + abs(w) < math.pi for d, w in bumps)
+
+    def test_split_transfer_matches_bump_transfer(self):
+        V = pl.PearsonPotential(pl.canonical_bump(), (40.0,), (0.0,))
+        for xi in self.XI:
+            T = pl.transfer_to(V, xi, 1.0).entries
+            B = pl.bump_transfer(pl.canonical_bump(), 40.0, xi).entries
+            assert np.abs(T - B).max() <= 1e-12 * np.abs(B).max(), xi
+
+    def test_canonical_bumps_never_split(self):
+        from pearsonlab.cli import canonical_potential
+
+        V = canonical_potential().build()
+        L = 1e5
+        bumps = [d for _, _, d, w in propagate._piece_maps(V, 1.0, 0.0, L, 512) if w is not None]
+        assert bumps == [1.0] * sum(c < L for c in V.centers)
+
+
 class TestNeumannCache:
     def test_numpy_and_plain_xi_share_an_entry(self):
         V = two_bump()
@@ -433,10 +462,7 @@ class TestPropagateExtended:
 
     def test_complex_parameter_rejected(self):
         with pytest.raises(ValueError):
-            pl.propagate_extended(
-                pl.zero_potential(), complex(1.0, 0.5), 1.0,
-                pl.ExtendedState(1.0, 0.0, 0.0, 0.0, 0.0),
-            )
+            pl.extended_neumann(pl.zero_potential(), complex(1.0, 0.5), 1.0)
 
 
 class TestDeterminantConservation:

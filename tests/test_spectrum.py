@@ -4,13 +4,23 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pearsonlab as pl
 from pearsonlab import spectrum
+from pearsonlab.cli import canonical_potential
 
 from util import bump_potentials as _potentials, one_bump, two_bump
+
+
+def found_potential():
+    """Two strong bumps whose pieces the stream splits; at L = 140.07... the
+    crossing with phase index 50 is sharper than the root tolerance."""
+    return pl.PearsonPotential(
+        pl.canonical_bump(), (14.032342551674837, 34.47522353704621),
+        (19.993287930937694, 62.692019262229735), monotone_from=2,
+    )
 
 
 class TestPhase:
@@ -42,6 +52,18 @@ class TestPhase:
         grid = np.geomspace(1e-12, 10.0, 200)
         thetas = [pl.phase(V, float(x), 50.0) for x in grid]
         assert all(b >= a for a, b in zip(thetas, thetas[1:]))
+
+    @pytest.mark.parametrize("V, L, xi", [
+        *(pytest.param(canonical_potential().build(), 1e4, xi, id=f"canonical-{xi}")
+          for xi in (0.3, 1.0, 1.7)),
+        *(pytest.param(found_potential(), 140.07244424291022, xi, id=f"split-{xi}")
+          for xi in (0.5, 1.3, 2.9)),
+    ])
+    def test_walk_pair_is_the_neumann_pair(self, V, L, xi):
+        # the search reads cos theta off the same pair as neumann_solution
+        s = pl.neumann_solution(V, xi, L)
+        cos_theta = spectrum._phase_walk(V, xi, L, 512)[2]
+        assert cos_theta == s.du / math.sqrt(xi * s.u * s.u + s.du * s.du)
 
     def test_continuity_across_bump_edge(self):
         V = one_bump(0.5, 10.0)
@@ -148,8 +170,6 @@ class TestEigenvaluesNear:
 class TestWalkCount:
     @pytest.mark.parametrize("L", [1e3, 1e4])
     def test_at_most_four_walks_per_root(self, L, monkeypatch):
-        from pearsonlab.cli import canonical_potential
-
         walk = spectrum._phase_walk
         calls = []
 
@@ -215,6 +235,7 @@ class TestPhaseSlopeProperties:
         assert pl.eigenvalue_count(V, lo, L) <= pl.eigenvalue_count(V, hi, L)
 
     @settings(max_examples=8, derandomize=True, deadline=None)
+    @example(V=found_potential(), cutoff=2.975720514665727, L=140.07244424291022)
     @given(_potentials(), _XI, _L)
     def test_count_matches_eigenvalues_below(self, V, cutoff, L):
         # eigenvalues_below lists (0, cutoff]; the count also holds the
@@ -262,8 +283,6 @@ class TestClockStatistics:
     def test_pearson_deviation_decreases_along_lengths(self):
         # full pipeline, canonical sparse potential; the deviation shrinks
         # along the length sequence (10 percent slack)
-        from pearsonlab.cli import canonical_potential
-
         V = canonical_potential().build()
         devs = [
             pl.clock_statistics(V, L, 1.0, 3).max_deviation
@@ -291,8 +310,6 @@ class TestDensityOfStates:
         assert est.total_mass == expected
 
     def test_pearson_two_percent_at_desk_scale(self):
-        from pearsonlab.cli import canonical_potential
-
         V = canonical_potential().build()
         est = pl.density_of_states(V, 10000.0, (1.0, 4.0), 12)
         for mass, free in zip(est.masses, est.free_masses):
