@@ -4,7 +4,9 @@ The kernel S_L(xi, zeta) = int_0^L u(xi, r) u(zeta, r) dr is computed by
 three mutually checking routes: a running integral carried through the
 propagation ("quadrature"), the boundary formula for distinct arguments
 ("cd_formula"), and the diagonal formula through the xi-derivative pair
-("accumulated").
+("accumulated"). The normalized ratios are evaluated on grids of shifts
+(_ratio_grid), which walk each distinct shifted argument once; the
+one-pair functions are the 1 x 1 case.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from .propagate import (
     principal_sqrt,
     segments,
     sinc,
-    variation_coeffs,
+    variation_coeffs_from_state,
     vercosc,
 )
 
@@ -207,6 +209,23 @@ def cd_quadrature(
 # -- route 2: boundary formula -------------------------------------------------
 
 
+def _neumann_walk(V: PearsonPotential, x: float, steps: int | None):
+    """z -> the Neumann pair of V at x, the walk of the per-pair routes."""
+    return lambda z: neumann_solution(V, z, x, steps=steps)
+
+
+def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps, state, extended):
+    """S_L(xi, zeta) and its route by the rule of cd_formula, from the
+    walks to L of state(z) (a Neumann pair) and extended(z) (with its
+    xi-derivative pair)."""
+    if abs(xi - zeta) < _NEAR_DIAGONAL * max(1.0, abs(xi)):
+        if isinstance(xi, complex) or isinstance(zeta, complex):
+            return cd_quadrature(V, xi, zeta, L, steps=steps).value, "quadrature"
+        return _diagonal(extended(0.5 * (xi + zeta))), "accumulated"
+    s1, s2 = state(xi), state(zeta)
+    return (s1.u * s2.du - s2.u * s1.du) / (xi - zeta), "cd_formula"
+
+
 def cd_formula(
     V: PearsonPotential, xi, zeta, L: float, *, steps: int | None = None
 ) -> KernelEvaluation:
@@ -221,20 +240,19 @@ def cd_formula(
         raise ValueError("the kernel needs L > 0")
     xi = _as_scalar(xi)
     zeta = _as_scalar(zeta)
-    if abs(xi - zeta) < _NEAR_DIAGONAL * max(1.0, abs(xi)):
-        if isinstance(xi, complex) or isinstance(zeta, complex):
-            ev = cd_quadrature(V, xi, zeta, L, steps=steps)
-            return KernelEvaluation(xi, zeta, float(L), ev.value, "quadrature")
-        mid = 0.5 * (xi + zeta)
-        ev = cd_diagonal(V, mid, L, steps=steps)
-        return KernelEvaluation(xi, zeta, float(L), ev.value, "accumulated")
-    s1 = neumann_solution(V, xi, L, steps=steps)
-    s2 = neumann_solution(V, zeta, L, steps=steps)
-    value = (s1.u * s2.du - s2.u * s1.du) / (xi - zeta)
-    return KernelEvaluation(xi, zeta, float(L), value, "cd_formula")
+    value, method = _kernel_entry(
+        V, xi, zeta, L, steps,
+        _neumann_walk(V, L, steps),
+        lambda z: extended_neumann(V, z, L, steps=steps),
+    )
+    return KernelEvaluation(xi, zeta, float(L), value, method)
 
 
 # -- route 3: diagonal via the xi-derivative pair ------------------------------
+
+
+def _diagonal(ext) -> float:
+    return float(ext.du * ext.u_xi - ext.du_xi * ext.u)
 
 
 def cd_diagonal(
@@ -246,46 +264,80 @@ def cd_diagonal(
     xi = _as_scalar(xi)
     if isinstance(xi, complex):
         raise ValueError("the diagonal route is defined for real xi only")
-    ext = extended_neumann(V, xi, L, steps=steps)
-    value = ext.du * ext.u_xi - ext.du_xi * ext.u
-    return KernelEvaluation(xi, xi, float(L), float(value), "accumulated")
+    value = _diagonal(extended_neumann(V, xi, L, steps=steps))
+    return KernelEvaluation(xi, xi, float(L), value, "accumulated")
+
+
+@lru_cache(maxsize=4096)
+def _extended_state(V: PearsonPotential, xi: float, L: float, steps: int):
+    """extended_neumann at real xi; the walk behind every real argument of
+    _ratio_grid, so it also serves as that argument's Neumann pair."""
+    return extended_neumann(V, xi, L, steps=steps)
 
 
 @lru_cache(maxsize=4096)
 def _diagonal_value(V: PearsonPotential, xi: float, L: float, steps: int) -> float:
-    return cd_diagonal(V, xi, L, steps=steps).value
+    return _diagonal(_extended_state(V, xi, L, steps))
 
 
 # -- normalized ratios ---------------------------------------------------------
 
 
-def _shifted(xi: float, a, b, x: float):
-    """The shifted arguments (xi + a/x, xi + b/x), both in the right half-plane."""
-    alpha = _as_scalar(xi + a / x)
-    beta = _as_scalar(xi + b / x)
-    if not (alpha.real > 0.0 and beta.real > 0.0):
+def _shifted(xi: float, a_grid, b_grid, x: float):
+    """The shifted arguments xi + a/x and xi + b/x over both grids, all in
+    the right half-plane."""
+    alphas = [_as_scalar(xi + a / x) for a in a_grid]
+    betas = [_as_scalar(xi + b / x) for b in b_grid]
+    if not all(z.real > 0.0 for z in alphas + betas):
         raise ValueError("shifted arguments must stay in the right half-plane")
-    return alpha, beta
+    return alphas, betas
+
+
+def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps, *, kappa=False):
+    """S_x(xi + a/x, xi + b/x) / norm for a in a_grid (rows) and b in b_grid.
+
+    norm is S_x(xi, xi), or x * kappa at (xi, x) when kappa is set. Both
+    walks are cached, so each distinct argument is walked once: a real one
+    by the extended walk, which gives its Neumann pair and its diagonal (the
+    a = b = 0 entry and S_x(xi, xi) share it), a complex one by
+    neumann_solution. Entries equal the per-pair cd_formula values over
+    the norm bit for bit. The first failure raises.
+    """
+    xi = float(xi)
+    if not x > 0.0:
+        raise ValueError("the kernel needs L > 0")
+    alphas, betas = _shifted(xi, a_grid, b_grid, x)
+
+    def walk(z):
+        if isinstance(z, complex):
+            return neumann_solution(V, z, x, steps=steps)
+        return _extended_state(V, z, float(x), _steps_or_default(steps))
+
+    nums = [[_kernel_entry(V, al, be, x, steps, walk, walk)[0] for be in betas] for al in alphas]
+    if kappa:
+        den = x * _kappa_value(walk, xi)
+    else:
+        den = _diagonal_value(V, xi, float(x), _steps_or_default(steps))
+    return [[num / den for num in row] for row in nums]
 
 
 def kernel_ratio(
     V: PearsonPotential, xi: float, a, b, L: float, *, steps: int | None = None
 ):
-    """S_L(xi + a/L, xi + b/L) / S_L(xi, xi); a, b may be complex."""
-    xi = float(xi)
-    if not L > 0.0:
-        raise ValueError("the kernel needs L > 0")
-    alpha, beta = _shifted(xi, a, b, L)
-    num = cd_formula(V, alpha, beta, L, steps=steps).value
-    den = _diagonal_value(V, xi, float(L), _steps_or_default(steps))
-    return num / den
+    """S_L(xi + a/L, xi + b/L) / S_L(xi, xi); a, b may be complex.
+
+    The 1 x 1 case of _ratio_grid: the numerator is the cd_formula value,
+    the denominator the cached diagonal at (xi, L). The CLI kernel grid
+    calls it per pair; the cached walks make that one walk per argument.
+    """
+    return _ratio_grid(V, xi, (a,), (b,), L, steps)[0][0]
 
 
-def _kappa_value(Vt: PearsonPotential, xi: float, x: float, steps: int | None) -> float:
-    """(a1_tilde^2 + a2_tilde^2)/2 of the already truncated potential Vt at x."""
+def _kappa_value(walk, xi: float) -> float:
+    """(a1_tilde^2 + a2_tilde^2)/2 of the Neumann pair walk(xi)."""
     if xi <= 0.0:
         raise ValueError("kappa requires xi > 0")
-    coeffs = variation_coeffs(Vt, xi, x, steps=steps)
+    coeffs = variation_coeffs_from_state(walk(xi), xi)
     return float(0.5 * (coeffs.a1_tilde**2 + coeffs.a2_tilde**2))
 
 
@@ -297,7 +349,8 @@ def kappa(
     Constant in x beyond the last kept bump; always strictly positive.
     """
     xi = float(xi)
-    return Kappa(int(ell), xi, float(x), _kappa_value(V.truncate(ell), xi, x, steps))
+    value = _kappa_value(_neumann_walk(V.truncate(ell), x, steps), xi)
+    return Kappa(int(ell), xi, float(x), value)
 
 
 def kappa_ratio(
@@ -305,14 +358,11 @@ def kappa_ratio(
 ):
     """S_x of the truncation at (xi + a/x, xi + b/x), divided by x * kappa.
 
-    Converges to sine_kernel(xi, a, b) as x grows.
+    Converges to sine_kernel(xi, a, b) as x grows. The one-pair case of
+    the grid evaluator that empirical_hat_N runs per (xi, x); a and b may
+    be complex.
     """
-    Vt = V.truncate(ell)
-    xi = float(xi)
-    alpha, beta = _shifted(xi, a, b, x)
-    num = cd_formula(Vt, alpha, beta, x, steps=steps).value
-    den = x * _kappa_value(Vt, xi, x, steps)
-    return num / den
+    return _ratio_grid(V.truncate(ell), xi, (a,), (b,), x, steps, kappa=True)[0][0]
 
 
 def kappa_ratio_gap(
@@ -332,13 +382,13 @@ def kappa_ratio_gap(
     if not (lo <= x <= hi):
         raise ValueError(f"x = {x} outside the window [{lo}, {hi}]")
     xi = float(xi)
-    alpha, beta = _shifted(xi, a, b, x)
+    (alpha,), (beta,) = _shifted(xi, (a,), (b,), x)
 
     V_lo, V_hi = V.truncate(ell), V.truncate(ell + 1)
     s_lo = cd_formula(V_lo, alpha, beta, x, steps=steps).value
     s_hi = cd_formula(V_hi, alpha, beta, x, steps=steps).value
-    k_lo = _kappa_value(V_lo, xi, x, steps)
-    k_hi = _kappa_value(V_hi, xi, x, steps)
+    k_lo = _kappa_value(_neumann_walk(V_lo, x, steps), xi)
+    k_hi = _kappa_value(_neumann_walk(V_hi, x, steps), xi)
 
     r_lo = s_lo / (x * k_lo)
     r_hi = s_hi / (x * k_hi)

@@ -162,6 +162,10 @@ def geometric_schedule(
     )
 
 
+# empirical_hat_N refuses a trial grid of more lengths than this
+_MAX_TRIALS = 256
+
+
 def empirical_hat_N(
     V: PearsonPotential,
     ell: int,
@@ -181,19 +185,33 @@ def empirical_hat_N(
 
     Scans a geometric grid of trial lengths x and returns the smallest
     one such that, at every grid point in [x, horizon_factor * x], the
-    normalized kernel ratio of the ell-bump truncation stays within
-    `tolerance` of the sinc target for all xi in `window` (xi_points
+    normalized kernel ratio of the ell-bump truncation (kappa_ratio) stays
+    within `tolerance` of the sinc target for all xi in `window` (xi_points
     samples) and all real |a|, |b| <= ab_bound (ab_points samples each).
+    The potential is truncated once, and each (xi, x) is one grid
+    evaluation that walks each shifted argument once.
     """
-    from .kernel import kappa_ratio, sine_kernel
+    from .kernel import _ratio_grid, sine_kernel
 
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo <= hi):
         raise ValueError("window must be a subinterval of (0, inf)")
-    if ab_bound < 0.0:
+    if not ab_bound >= 0.0:
         raise ValueError("ab_bound must be non-negative")
+    if xi_points < 1 or ab_points < 1:
+        raise ValueError("xi_points and ab_points must be at least 1")
+    if not trial_start > 0.0:
+        raise ValueError("trial_start must be positive")
+    if not trial_ratio > 1.0:
+        raise ValueError("trial_ratio must exceed 1")
+    if not 1.0 <= horizon_factor < math.inf:
+        raise ValueError("horizon_factor must be finite and at least 1")
+    if not 0.0 < max_length < math.inf:
+        raise ValueError("max_length must be finite and positive")
+    if max_length > trial_start and math.log(max_length / trial_start) > _MAX_TRIALS * math.log(trial_ratio):
+        raise ValueError(f"the trial grid from trial_start to max_length exceeds {_MAX_TRIALS} lengths")
 
     xi_grid = [lo + (hi - lo) * i / (xi_points - 1) for i in range(xi_points)] if xi_points > 1 else [lo]
     ab_grid = (
@@ -208,13 +226,15 @@ def empirical_hat_N(
         trials.append(x)
         x *= trial_ratio
 
+    Vt = V.truncate(ell)
+    targets = [[sine_kernel(xi, a, b) for a in ab_grid for b in ab_grid] for xi in xi_grid]
+
     def sup_error(length: float) -> float:
         worst = 0.0
-        for xi in xi_grid:
-            for a in ab_grid:
-                for b in ab_grid:
-                    val = kappa_ratio(V, ell, xi, a, b, length, steps=steps)
-                    worst = max(worst, abs(val - sine_kernel(xi, a, b)))
+        for xi, target in zip(xi_grid, targets):
+            grid = _ratio_grid(Vt, xi, ab_grid, ab_grid, length, steps, kappa=True)
+            for val, want in zip((v for row in grid for v in row), target):
+                worst = max(worst, abs(val - want))
         return worst
 
     errors = [sup_error(t) for t in trials]

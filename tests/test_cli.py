@@ -267,6 +267,26 @@ class TestErrorRows:
         assert read_csv(str(out))[1] == [want]
 
 
+class TestKernelGridErrors:
+    def test_left_half_plane_pairs_get_error_rows(self, tmp_path):
+        # xi + a/L = 0.5 - 30/50 < 0: only the a = -30 pairs fail, with the
+        # per-pair message; the other rows are those of a grid without it
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("amplitude_values = 0.5\ncenter_values = 10\n")
+        base = ["kernel", "--config", str(cfg), "--xi-grid", "0.5", "--l-grid", "50",
+                "--b-grid=-1,0"]
+        mixed, clean = tmp_path / "mixed.csv", tmp_path / "clean.csv"
+        assert main(base + ["--a-grid=-30,0,1", "--out", str(mixed)]) == 1
+        assert main(base + ["--a-grid=0,1", "--out", str(clean)]) == 0
+        message = "error: shifted arguments must stay in the right half-plane"
+        rows = read_csv(str(mixed))[1]
+        assert rows[:2] == [
+            ["kernel_ratio", "0.5", "-30", "-1", "50", "", "", "", "", message],
+            ["kernel_ratio", "0.5", "-30", "0", "50", "", "", "", "", message],
+        ]
+        assert rows[2:] == read_csv(str(clean))[1]
+
+
 class TestDeterminism:
     def test_identical_configs_byte_identical(self, tmp_path):
         args = ["kernel", "--xi-grid", "1.0", "--l-grid", "50",

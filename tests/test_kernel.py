@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pearsonlab as pl
-from pearsonlab import kernel
+from pearsonlab import cli, kernel, propagate
 
 from util import bump_potentials, cell_edge_pairs, free_kernel, free_kernel_ratio, sinc, two_bump
 
@@ -355,3 +355,102 @@ class TestKernelProperties:
         assert off.method == "cd_formula"
         bound = pl.cd_diagonal(V, xi, L).value * pl.cd_diagonal(V, zeta, L).value
         assert off.value**2 <= bound * (1.0 + 1e-10)
+
+
+def _per_pair(V, alpha, beta, L):
+    """S_L(alpha, beta) as the boundary formula computed it pair by pair:
+    Neumann pairs from neumann_solution, and the diagonal route at the
+    midpoint (real) or the running integral (complex) near the diagonal."""
+    if abs(alpha - beta) < kernel._NEAR_DIAGONAL * max(1.0, abs(alpha)):
+        if isinstance(alpha, complex) or isinstance(beta, complex):
+            return pl.cd_quadrature(V, alpha, beta, L).value
+        return pl.cd_diagonal(V, 0.5 * (alpha + beta), L).value
+    s1, s2 = pl.neumann_solution(V, alpha, L), pl.neumann_solution(V, beta, L)
+    return (s1.u * s2.du - s2.u * s1.du) / (alpha - beta)
+
+
+def _arg(xi, shift, L):
+    return propagate._as_scalar(xi + shift / L)
+
+
+_SHIFTS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
+_COMPLEX_SHIFT = st.complex_numbers(max_magnitude=1.0)
+
+
+class TestRatioGrid:
+    """Grid entries against the per-pair formula, compared exactly."""
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(bump_potentials(), st.integers(0, 2), st.floats(0.3, 3.0), st.floats(5.0, 200.0),
+           _SHIFTS, _SHIFTS, st.floats(0.1, 1.0))
+    def test_real_grid_is_the_per_pair_formula(self, V, ell, xi, L, a_grid, b_grid, t):
+        # a_grid[0] + t * 5e-9 * L against a_grid[0] is a distinct pair within
+        # the near-diagonal threshold, so the midpoint reroute runs off the
+        # exact diagonal; b = 0 shares its walk with the normalisation
+        near = a_grid[0] + t * 5e-9 * L
+        a_grid, b_grid = a_grid + [near], b_grid + [a_grid[0], 0.0]
+        assert _arg(xi, near, L) != _arg(xi, a_grid[0], L)
+        assert pl.cd_formula(V, _arg(xi, near, L), _arg(xi, a_grid[0], L), L).method == "accumulated"
+        Vt = V.truncate(min(ell, V.bump_count))
+        diag = pl.cd_diagonal(V, xi, L).value
+        kappa_norm = L * pl.kappa(Vt, Vt.bump_count, xi, L).value
+        plain = kernel._ratio_grid(V, xi, a_grid, b_grid, L, None)
+        normed = kernel._ratio_grid(Vt, xi, a_grid, b_grid, L, None, kappa=True)
+        for i, a in enumerate(a_grid):
+            for j, b in enumerate(b_grid):
+                alpha, beta = _arg(xi, a, L), _arg(xi, b, L)
+                assert plain[i][j] == _per_pair(V, alpha, beta, L) / diag
+                assert normed[i][j] == _per_pair(Vt, alpha, beta, L) / kappa_norm
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(bump_potentials(), st.integers(0, 2), st.floats(0.3, 3.0), st.floats(5.0, 200.0),
+           _COMPLEX_SHIFT, _COMPLEX_SHIFT, st.booleans())
+    def test_complex_pair_is_the_per_pair_formula(self, V, ell, xi, L, a, b, same):
+        # same = True puts the pair on the diagonal: the running-integral route
+        b = a if same else b
+        ell = min(ell, V.bump_count)
+        alpha, beta = _arg(xi, a, L), _arg(xi, b, L)
+        want = _per_pair(V, alpha, beta, L) / pl.cd_diagonal(V, xi, L).value
+        assert pl.kernel_ratio(V, xi, a, b, L) == want
+        Vt = V.truncate(ell)
+        want = _per_pair(Vt, alpha, beta, L) / (L * pl.kappa(V, ell, xi, L).value)
+        assert pl.kappa_ratio(V, ell, xi, a, b, L) == want
+
+
+class TestGridWalks:
+    """Walks behind the grid users, counted by wrapping the walkers."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"extended_neumann": 0, "propagate_to": 0, "truncate": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(kernel, "extended_neumann")
+        counting(propagate, "propagate_to")
+        counting(pl.PearsonPotential, "truncate")
+        for cache in (kernel._extended_state, kernel._diagonal_value, propagate._neumann_state):
+            cache.cache_clear()
+        return calls
+
+    def test_cli_kernel_task_walks_each_argument_once(self, calls):
+        # seed-0 criterion-4 grid at L = 1e4, xi = 1: 9 distinct shifted
+        # arguments, and a = 0 is the walk of the normalisation too
+        ab = [-2.0 + 0.5 * i for i in range(9)]
+        V = cli.canonical_potential().build()
+        rows = cli._kernel_rows(V, 1e4, 1.0, ab, ab, None)
+        assert len(rows) == 81 and all(row[-1] == "ok" for row in rows)
+        assert calls == {"extended_neumann": 9, "propagate_to": 0, "truncate": 0}
+
+    def test_hat_n_search_truncates_once(self, calls):
+        # 12 trial lengths x 5 xi x 5 shifted arguments
+        V = cli.canonical_potential().build()
+        assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
+        assert calls == {"extended_neumann": 300, "propagate_to": 0, "truncate": 1}

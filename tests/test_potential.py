@@ -220,6 +220,42 @@ class TestEmpiricalHatN:
             )
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trial_ratio": 1.0},
+            {"trial_ratio": 0.5},
+            {"trial_ratio": math.nan},
+            {"trial_start": 0.0},
+            {"trial_start": -8.0},
+            {"tolerance": math.nan},
+            {"ab_bound": math.nan},
+            {"xi_points": 0},
+            {"ab_points": 0},
+            {"ab_points": -3},
+            {"trial_ratio": 1.0 + 1e-12},
+            {"trial_ratio": math.nextafter(1.0, 2.0)},
+            {"trial_start": 1e-300},
+            {"max_length": math.nan},
+            {"max_length": math.inf},
+            {"max_length": 0.0},
+            {"horizon_factor": math.nan},
+            {"horizon_factor": math.inf},
+            {"horizon_factor": 0.5},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_bad_arguments_rejected_up_front(self, kwargs):
+        # each of these used to loop forever (or for about 1e12 trials),
+        # search on NaN, accept the first trial unchecked, or silently shrink
+        # a grid to one point; the CLI writes the message into a CSV
+        args = {"tolerance": 0.5, "ab_bound": 2.0, **kwargs}
+        tolerance, ab_bound = args.pop("tolerance"), args.pop("ab_bound")
+        with pytest.raises(ValueError) as err:
+            pl.empirical_hat_N(pl.zero_potential(), 0, tolerance, (0.5, 2.0), ab_bound, **args)
+        assert "," not in str(err.value)
+
+
 class TestConfigRoundTrip:
     def test_list_spec_round_trip(self):
         spec = pl.PotentialSpec(
