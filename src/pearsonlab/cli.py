@@ -103,12 +103,12 @@ class ExperimentConfig:
             raise ConfigError("interval needs exactly two endpoints")
         if self.kind == "clock" and self.depth < 1:
             raise ConfigError("depth must be at least 1")
-        if self.kind == "dos":
+        if self.kind in ("dos", "hatn"):
             lo, hi = self.interval
             if not (0 < lo < hi):
                 raise ConfigError("interval must be inside (0, inf)")
-            if self.bins < 1:
-                raise ConfigError("bins must be at least 1")
+        if self.kind == "dos" and self.bins < 1:
+            raise ConfigError("bins must be at least 1")
         if self.kind == "verify" and self.probe not in (*PROBES, "suite"):
             raise ConfigError(f"unknown probe {self.probe!r}")
         if self.kind == "verify" and self.probe_ell < 0:

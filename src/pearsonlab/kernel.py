@@ -19,10 +19,10 @@ import numpy as np
 from .potential import BumpProfile, PearsonPotential
 from .propagate import (
     _as_scalar,
+    _free_maps,
     _is_full_bump,
     _steps_or_default,
     extended_neumann,
-    free_transfer,
     neumann_solution,
     principal_sqrt,
     segments,
@@ -48,9 +48,10 @@ __all__ = [
 
 _METHODS = ("quadrature", "cd_formula", "accumulated")
 
-# below this relative argument separation the boundary formula is
-# numerically singular and evaluation reroutes
-_NEAR_DIAGONAL = 1e-8
+# below this argument separation, in units of 1/L, the boundary formula is
+# numerically singular and evaluation reroutes; a threshold in absolute
+# units would reroute whole clock-scale grids (spacing 1/L) once L is large
+_NEAR_DIAGONAL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -189,8 +190,9 @@ def cd_quadrature(
         if seg[0] == "free":
             _, a, b = seg
             acc = acc + _gap_overlap(u1, d1, w1, u2, d2, w2, b - a)
-            u1, d1 = free_transfer(xi, a, b).apply(u1, d1)
-            u2, d2 = free_transfer(zeta, a, b).apply(u2, d2)
+            (p11, p12, p21, p22), _ = _free_maps(xi, a, b)
+            (q11, q12, q21, q22), _ = _free_maps(zeta, a, b)
+            u1, d1, u2, d2 = p11 * u1 + p12 * d1, p21 * u1 + p22 * d1, q11 * u2 + q12 * d2, q21 * u2 + q22 * d2
         else:
             _, a, b, k = seg
             c = V.centers[k]
@@ -209,20 +211,13 @@ def cd_quadrature(
 # -- route 2: boundary formula -------------------------------------------------
 
 
-def _neumann_walk(V: PearsonPotential, x: float, steps: int | None):
-    """z -> the Neumann pair of V at x, the walk of the per-pair routes."""
-    return lambda z: neumann_solution(V, z, x, steps=steps)
-
-
-def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps, state, extended):
-    """S_L(xi, zeta) and its route by the rule of cd_formula, from the
-    walks to L of state(z) (a Neumann pair) and extended(z) (with its
-    xi-derivative pair)."""
-    if abs(xi - zeta) < _NEAR_DIAGONAL * max(1.0, abs(xi)):
+def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps):
+    """S_L(xi, zeta) and its route by the rule of cd_formula, from the cached walks to L."""
+    if abs(xi - zeta) * L < _NEAR_DIAGONAL:
         if isinstance(xi, complex) or isinstance(zeta, complex):
             return cd_quadrature(V, xi, zeta, L, steps=steps).value, "quadrature"
-        return _diagonal(extended(0.5 * (xi + zeta))), "accumulated"
-    s1, s2 = state(xi), state(zeta)
+        return _diagonal(extended_neumann(V, 0.5 * (xi + zeta), L, steps=steps)), "accumulated"
+    s1, s2 = neumann_solution(V, xi, L, steps=steps), neumann_solution(V, zeta, L, steps=steps)
     return (s1.u * s2.du - s2.u * s1.du) / (xi - zeta), "cd_formula"
 
 
@@ -231,20 +226,16 @@ def cd_formula(
 ) -> KernelEvaluation:
     """Kernel from boundary data, (u(xi)u'(zeta) - u(zeta)u'(xi))/(xi - zeta).
 
-    Arguments closer than the near-diagonal threshold reroute: real pairs
-    go through the diagonal route at the midpoint (the returned method
-    flags the switch as "accumulated"), complex pairs through the running
-    integral ("quadrature").
+    Arguments closer than 1e-6 / L reroute: real pairs go through the
+    diagonal route at the midpoint (the returned method flags the switch
+    as "accumulated"), complex pairs through the running integral
+    ("quadrature").
     """
     if not L > 0.0:
         raise ValueError("the kernel needs L > 0")
     xi = _as_scalar(xi)
     zeta = _as_scalar(zeta)
-    value, method = _kernel_entry(
-        V, xi, zeta, L, steps,
-        _neumann_walk(V, L, steps),
-        lambda z: extended_neumann(V, z, L, steps=steps),
-    )
+    value, method = _kernel_entry(V, xi, zeta, L, steps)
     return KernelEvaluation(xi, zeta, float(L), value, method)
 
 
@@ -268,18 +259,6 @@ def cd_diagonal(
     return KernelEvaluation(xi, xi, float(L), value, "accumulated")
 
 
-@lru_cache(maxsize=4096)
-def _extended_state(V: PearsonPotential, xi: float, L: float, steps: int):
-    """extended_neumann at real xi; the walk behind every real argument of
-    _ratio_grid, so it also serves as that argument's Neumann pair."""
-    return extended_neumann(V, xi, L, steps=steps)
-
-
-@lru_cache(maxsize=4096)
-def _diagonal_value(V: PearsonPotential, xi: float, L: float, steps: int) -> float:
-    return _diagonal(_extended_state(V, xi, L, steps))
-
-
 # -- normalized ratios ---------------------------------------------------------
 
 
@@ -296,28 +275,19 @@ def _shifted(xi: float, a_grid, b_grid, x: float):
 def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps, *, kappa=False):
     """S_x(xi + a/x, xi + b/x) / norm for a in a_grid (rows) and b in b_grid.
 
-    norm is S_x(xi, xi), or x * kappa at (xi, x) when kappa is set. Both
-    walks are cached, so each distinct argument is walked once: a real one
-    by the extended walk, which gives its Neumann pair and its diagonal (the
-    a = b = 0 entry and S_x(xi, xi) share it), a complex one by
-    neumann_solution. Entries equal the per-pair cd_formula values over
-    the norm bit for bit. The first failure raises.
+    norm is S_x(xi, xi), or x * kappa at (xi, x) when kappa is set. Walks
+    are cached in propagate, so each distinct argument is walked once: a
+    real one by the extended walk, which gives its Neumann pair and its
+    diagonal (the a = b = 0 entry and S_x(xi, xi) share it). Entries equal
+    the per-pair cd_formula values over the norm bit for bit. The first
+    failure raises.
     """
     xi = float(xi)
     if not x > 0.0:
         raise ValueError("the kernel needs L > 0")
     alphas, betas = _shifted(xi, a_grid, b_grid, x)
-
-    def walk(z):
-        if isinstance(z, complex):
-            return neumann_solution(V, z, x, steps=steps)
-        return _extended_state(V, z, float(x), _steps_or_default(steps))
-
-    nums = [[_kernel_entry(V, al, be, x, steps, walk, walk)[0] for be in betas] for al in alphas]
-    if kappa:
-        den = x * _kappa_value(walk, xi)
-    else:
-        den = _diagonal_value(V, xi, float(x), _steps_or_default(steps))
+    nums = [[_kernel_entry(V, al, be, x, steps)[0] for be in betas] for al in alphas]
+    den = x * _kappa_value(V, xi, x, steps) if kappa else _diagonal(extended_neumann(V, xi, x, steps=steps))
     return [[num / den for num in row] for row in nums]
 
 
@@ -333,11 +303,11 @@ def kernel_ratio(
     return _ratio_grid(V, xi, (a,), (b,), L, steps)[0][0]
 
 
-def _kappa_value(walk, xi: float) -> float:
-    """(a1_tilde^2 + a2_tilde^2)/2 of the Neumann pair walk(xi)."""
+def _kappa_value(V: PearsonPotential, xi: float, x: float, steps) -> float:
+    """(a1_tilde^2 + a2_tilde^2)/2 of the Neumann pair of V at (xi, x)."""
     if xi <= 0.0:
         raise ValueError("kappa requires xi > 0")
-    coeffs = variation_coeffs_from_state(walk(xi), xi)
+    coeffs = variation_coeffs_from_state(neumann_solution(V, xi, x, steps=steps), xi)
     return float(0.5 * (coeffs.a1_tilde**2 + coeffs.a2_tilde**2))
 
 
@@ -349,7 +319,7 @@ def kappa(
     Constant in x beyond the last kept bump; always strictly positive.
     """
     xi = float(xi)
-    value = _kappa_value(_neumann_walk(V.truncate(ell), x, steps), xi)
+    value = _kappa_value(V.truncate(ell), xi, x, steps)
     return Kappa(int(ell), xi, float(x), value)
 
 
@@ -387,8 +357,8 @@ def kappa_ratio_gap(
     V_lo, V_hi = V.truncate(ell), V.truncate(ell + 1)
     s_lo = cd_formula(V_lo, alpha, beta, x, steps=steps).value
     s_hi = cd_formula(V_hi, alpha, beta, x, steps=steps).value
-    k_lo = _kappa_value(_neumann_walk(V_lo, x, steps), xi)
-    k_hi = _kappa_value(_neumann_walk(V_hi, x, steps), xi)
+    k_lo = _kappa_value(V_lo, xi, x, steps)
+    k_hi = _kappa_value(V_hi, xi, x, steps)
 
     r_lo = s_lo / (x * k_lo)
     r_hi = s_hi / (x * k_hi)

@@ -5,10 +5,14 @@ matrices) across potential-free gaps and by a fixed-step fourth-order
 Magnus map across bump supports. Each Magnus step is a closed-form 2x2
 exponential of a trace-free matrix, so bump maps keep det = 1 to
 rounding and come with their xi-derivative in closed form; the steps of
-a map are folded together as 4x4 block-triangular products that carry T
-and dT/dxi at once. Every walker, the phase walk of spectrum included, is
-a fold over the one stream of per-piece maps (T, dT/dxi) of _piece_maps,
-which halves bump pieces too strong for a Prufer angle to be read off.
+a map are folded together as numpy 4x4 block-triangular products that
+carry T and dT/dxi at once. Every walker (propagate_to, transfer_to,
+extended_neumann and the phase walk of spectrum) is a fold over the one
+stream of per-piece maps (T, dT/dxi) of _piece_maps, which halves bump
+pieces too strong for a Prufer angle to be read off. The stream holds
+each map as a 4-tuple of Python scalars, folded in scalar arithmetic:
+on 2x2 objects numpy's per-call cost outweighs the arithmetic. numpy
+stays where it vectorises, in the Magnus steps and the jets below.
 
 A full-bump map T(xi) is entire in xi (Poschel and Trubowitz 1987). Its
 Taylor coefficients in xi - xi0 up to degree 15 (the bump's jet) are read
@@ -18,11 +22,12 @@ lattice of spacing 1/2 in Re xi and Im xi (real for real xi). Every xi
 lies within 0.354 < R of its center, aliasing adds only c_(j+N) R^N to
 c_j, and a tail check enforces that c_15 R^15 is at rounding level, so
 one polynomial evaluation gives T and dT/dxi to rounding. Partial bump
-pieces are mapped directly. Evaluated full-bump maps and Neumann
-endpoints (neumann_solution) are cached per xi, so a sweep that revisits
-the same (V, xi, x) propagates it once. Everything here is a pure
-function of immutable inputs; with the lattice fixed it is bitwise
-deterministic for a fixed step configuration, whatever the call order.
+pieces are mapped directly. Evaluated full-bump maps and walks are
+cached per xi (a real xi has one cache, the extended walk, which also
+serves neumann_solution), so a sweep that revisits the same (V, xi, x)
+propagates it once. Everything here is a pure function of immutable
+inputs; with the lattice fixed it is bitwise deterministic for a fixed
+step configuration, whatever the call order.
 """
 from __future__ import annotations
 
@@ -161,9 +166,7 @@ class TransferMatrix:
     """2x2 matrix mapping (u, u') at from_x to (u, u') at to_x.
 
     The coefficient matrix of the first-order system is trace free, so
-    the determinant must stay at 1; construction checks |det - 1| against
-    det_tol_per_unit per unit propagated length (floor one unit), plus the
-    rounding floor of evaluating the determinant.
+    the determinant must stay at 1; construction checks it (_check_det).
     """
 
     entries: np.ndarray
@@ -177,17 +180,7 @@ class TransferMatrix:
         e = e.copy()
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-        ad, bc = e[0, 0] * e[1, 1], e[0, 1] * e[1, 0]
-        # ad - bc itself rounds to a few eps * (|ad| + |bc|), which outgrows
-        # the budget for the large entries of long complex-xi transfers
-        tol = DEFAULTS.det_tol_per_unit * max(1.0, abs(self.to_x - self.from_x))
-        tol += 4.0 * _EPS * (abs(ad) + abs(bc))
-        drift = abs(ad - bc - 1.0)
-        if drift > tol:
-            raise DeterminantDriftError(
-                f"|det - 1| = {drift:.3e} over [{self.from_x}, {self.to_x}] "
-                f"exceeds {tol:.3e}"
-            )
+        _check_det(e[0, 0] * e[1, 1], e[0, 1] * e[1, 0], self.from_x, self.to_x)
 
     def det(self) -> complex | float:
         e = self.entries
@@ -211,30 +204,44 @@ class TransferMatrix:
         return (e[0, 0] * u + e[0, 1] * du, e[1, 0] * u + e[1, 1] * du)
 
 
+def _check_det(ad, bc, x0: float, x1: float) -> None:
+    """Raise DeterminantDriftError unless |ad - bc - 1| (NaN included) is
+    within det_tol_per_unit per unit of [x0, x1] (floor one unit)."""
+    # plus 4 eps (|ad| + |bc|): ad - bc itself rounds by that much, which
+    # outgrows the budget for the large entries of long complex-xi transfers
+    tol = DEFAULTS.det_tol_per_unit * max(1.0, abs(x1 - x0)) + 4.0 * _EPS * (abs(ad) + abs(bc))
+    drift = abs(ad - bc - 1.0)
+    if not drift <= tol:
+        raise DeterminantDriftError(f"|det - 1| = {drift:.3e} over [{x0}, {x1}] exceeds {tol:.3e}")
+
+
 def _free_maps(xi, x0: float, x1: float):
-    """(T, dT/dxi) across a potential-free stretch [x0, x1], in closed form."""
+    """(T, dT/dxi) across a potential-free stretch [x0, x1], in closed form,
+    each as a row-major 4-tuple of scalars; T passes the determinant check."""
+    x0, x1 = float(x0), float(x1)
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError(f"free transfer endpoints must be finite (got {x0!r} and {x1!r})")
     if x1 < x0:
         raise ValueError("free transfer requires x1 >= x0")
     xi = _as_scalar(xi)
-    s = principal_sqrt(xi)
-    d = float(x1) - float(x0)
-    z = s * d
+    d = x1 - x0
+    z = principal_sqrt(xi) * d
     c = _cos(z)
     sc = sinc(z)
-    dtype = complex if isinstance(z, complex) else float
-    T = TransferMatrix(np.array([[c, d * sc], [-xi * d * sc, c]], dtype=dtype), float(x0), float(x1))
-    t11 = -0.5 * d * d * sc
-    return T, np.array([[t11, 0.5 * d * d * d * _gcub(z)], [-0.5 * d * (sc + c), t11]], dtype=dtype)
+    t12, t21 = d * sc, -xi * d * sc
+    _check_det(c * c, t12 * t21, x0, x1)
+    d11 = -0.5 * d * d * sc
+    return (c, t12, t21, c), (d11, 0.5 * d * d * d * _gcub(z), -0.5 * d * (sc + c), d11)
 
 
 def free_transfer(xi, x0: float, x1: float) -> TransferMatrix:
     """Closed-form transfer across a potential-free stretch [x0, x1]."""
-    return _free_maps(xi, x0, x1)[0]
+    return TransferMatrix(np.reshape(_free_maps(xi, x0, x1)[0], (2, 2)), float(x0), float(x1))
 
 
 def free_transfer_dxi(xi, x0: float, x1: float) -> np.ndarray:
     """Entrywise d/dxi of the free transfer matrix, in closed form."""
-    return _free_maps(xi, x0, x1)[1]
+    return np.reshape(_free_maps(xi, x0, x1)[1], (2, 2))
 
 
 # -- bump maps ---------------------------------------------------------------
@@ -414,18 +421,23 @@ def _jet_eval(coefs: np.ndarray, delta):
     return out[0], out[1]
 
 
+def _as_tuples(T: np.ndarray, D: np.ndarray):
+    """2x2 arrays (T, dT/dxi) as row-major 4-tuples of Python scalars."""
+    return tuple(T.ravel().tolist()), tuple(D.ravel().tolist())
+
+
 @lru_cache(maxsize=8192)
 def _bump_matrix(profile: BumpProfile, lam: float, xi, steps: int):
-    """(T, dT/dxi) across a full bump from its jet; a repeated xi is a cache hit."""
+    """(T, dT/dxi) as 4-tuples across a full bump from its jet; a repeated xi is a cache hit."""
     xi0 = _lattice_point(xi)
-    return _jet_eval(_bump_jet(profile, lam, steps, xi0), xi - xi0)
+    return _as_tuples(*_jet_eval(_bump_jet(profile, lam, steps, xi0), xi - xi0))
 
 
 def _bump_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, steps: int):
-    """(T, dT/dxi) across [la, lb] of one bump; full supports are cached."""
+    """(T, dT/dxi) as 4-tuples across [la, lb] of one bump; full supports are cached."""
     if _is_full_bump(la, lb):
         return _bump_matrix(profile, float(lam), xi, steps)
-    return _magnus_map(profile, lam, xi, la, lb, steps)
+    return _as_tuples(*_magnus_map(profile, lam, xi, la, lb, steps))
 
 
 def bump_transfer(
@@ -440,7 +452,8 @@ def bump_transfer(
     cell, and cached per (profile, lam, xi, steps).
     """
     steps = _steps_or_default(steps)
-    return TransferMatrix(_bump_matrix(profile, float(lam), _as_scalar(xi), steps)[0], 0.0, 1.0)
+    T = _bump_matrix(profile, float(lam), _as_scalar(xi), steps)[0]
+    return TransferMatrix(np.reshape(T, (2, 2)), 0.0, 1.0)
 
 
 # -- segment walking --------------------------------------------------------
@@ -493,6 +506,8 @@ def _bump_pieces(profile: BumpProfile, lam: float, la: float, lb: float, steps: 
 def _piece_maps(V: PearsonPotential, xi, x0: float, x1: float, steps: int):
     """(T, dT/dxi, length, lam int W) for each piece of (x0, x1], in walking order.
 
+    T and dT/dxi are row-major 4-tuples of Python scalars: the walks fold
+    them in scalar arithmetic, several times cheaper than 2 x 2 numpy products.
     Free gaps are the free pieces of segments(V, x0, x1), with lam int W
     None. A bump piece of length d is halved until d + |lam| int W < pi.
     For any xi > 0 and sigma = max(1, sqrt(xi)) the Prufer angle of scale
@@ -503,8 +518,7 @@ def _piece_maps(V: PearsonPotential, xi, x0: float, x1: float, steps: int):
     for seg in segments(V, x0, x1):
         if seg[0] == "free":
             _, a, b = seg
-            T, D = _free_maps(xi, a, b)
-            yield T.entries, D, b - a, None
+            yield (*_free_maps(xi, a, b), b - a, None)
         else:
             _, a, b, k = seg
             c, lam = V.centers[k], V.amplitudes[k]
@@ -521,10 +535,10 @@ def propagate_to(
     if target < state.x:
         raise ValueError("propagation target must not precede the current position")
     xi = _as_scalar(xi)
-    y = np.array([state.u, state.du], dtype=np.result_type(state.u, state.du, xi))
-    for T, *_ in _piece_maps(V, xi, state.x, target, steps):
-        y = T @ y
-    return SolutionState(y[0], y[1], float(target))
+    u, du = (complex(state.u), complex(state.du)) if isinstance(xi, complex) else (state.u, state.du)
+    for (a, b, c, d), *_ in _piece_maps(V, xi, state.x, target, steps):
+        u, du = a * u + b * du, c * u + d * du
+    return SolutionState(u, du, float(target))
 
 
 def neumann_solution(
@@ -532,18 +546,23 @@ def neumann_solution(
 ) -> SolutionState:
     """Solution with u(0) = 1, u'(0) = 0 evaluated at x.
 
-    Results are cached per (V, xi, x, steps) after normalising the key,
-    so numpy and plain scalars, and steps=None and the default count,
-    share one entry.
+    Walks are cached per (V, xi, x, steps) after normalising the key, so
+    numpy and plain scalars, and steps=None and the default count, share
+    one entry. A real xi reads its pair off the cached extended walk,
+    which folds it bit for bit as propagate_to does.
     """
     x = float(x)
     if x < 0.0:
         raise ValueError("the solution lives on the half-line")
-    return _neumann_state(V, _as_scalar(xi), x, _steps_or_default(steps))
+    xi, steps = _as_scalar(xi), _steps_or_default(steps)
+    if isinstance(xi, complex):
+        return _neumann_state(V, xi, x, steps)
+    walk = _extended_walk(V, xi, x, steps)
+    return SolutionState(walk.u, walk.du, x)
 
 
 @lru_cache(maxsize=4096)
-def _neumann_state(V: PearsonPotential, xi, x: float, steps: int) -> SolutionState:
+def _neumann_state(V: PearsonPotential, xi: complex, x: float, steps: int) -> SolutionState:
     return propagate_to(V, xi, x, SolutionState(1.0, 0.0, 0.0), steps=steps)
 
 
@@ -562,10 +581,11 @@ def transfer_to(
     """Full transfer matrix of the potential from 0 to x."""
     steps = _steps_or_default(steps)
     xi = _as_scalar(xi)
-    T = np.eye(2, dtype=complex if isinstance(xi, complex) else float)
-    for piece, *_ in _piece_maps(V, xi, 0.0, x, steps):
-        T = piece @ T
-    return TransferMatrix(T, 0.0, float(x))
+    t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
+    for (a, b, c, d), *_ in _piece_maps(V, xi, 0.0, x, steps):
+        t11, t12, t21, t22 = a * t11 + b * t21, a * t12 + b * t22, c * t11 + d * t21, c * t12 + d * t22
+    dtype = complex if isinstance(xi, complex) else float
+    return TransferMatrix(np.array([[t11, t12], [t21, t22]], dtype=dtype), 0.0, float(x))
 
 
 # -- variation of parameters -------------------------------------------------
@@ -616,12 +636,20 @@ def extended_neumann(
 
     The derivative pair v obeys v'' = (V - xi) v - u and starts at (0, 0),
     since the boundary data is xi-independent; each piece maps it by
-    (T, dT/dxi) as v -> T v + dT/dxi (u, u').
+    (T, dT/dxi) as v -> T v + dT/dxi (u, u'). Cached per (V, xi, x, steps)
+    like neumann_solution, whose real-xi pair it is.
     """
     xi = _as_scalar(xi)
     if isinstance(xi, complex):
         raise ValueError("extended propagation is defined for real xi only")
-    y, v = np.array([1.0, 0.0]), np.zeros(2)
-    for T, D, *_ in _piece_maps(V, xi, 0.0, x, _steps_or_default(steps)):
-        y, v = T @ y, T @ v + D @ y
-    return ExtendedState(y[0], y[1], v[0], v[1], float(x))
+    return _extended_walk(V, xi, float(x), _steps_or_default(steps))
+
+
+@lru_cache(maxsize=4096)
+def _extended_walk(V: PearsonPotential, xi: float, x: float, steps: int) -> ExtendedState:
+    """The one cached walk of a real argument."""
+    u, du, v, dv = 1.0, 0.0, 0.0, 0.0
+    for (a, b, c, d), (e, f, g, h), *_ in _piece_maps(V, xi, 0.0, x, steps):
+        v, dv = (a * v + b * dv) + (e * u + f * du), (c * v + d * dv) + (g * u + h * du)
+        u, du = a * u + b * du, c * u + d * du
+    return ExtendedState(u, du, v, dv, x)

@@ -137,14 +137,14 @@ def phase(V: PearsonPotential, xi: float, L: float, *, steps: int | None = None)
 def _phase_walk(V: PearsonPotential, xi: float, L: float, steps: int):
     """(theta, dtheta/dxi, cos theta) at L in one fold over _piece_maps(V, xi, 0, L).
 
-    The Neumann pair y = (u, u') and its xi-derivative v = (u_xi, u'_xi)
-    are mapped by each piece's (T, dT/dxi) as in neumann_solution, and
+    The Neumann pair y = (u, u') and its xi-derivative (v, dv) = (u_xi, u'_xi)
+    are mapped by each piece's (T, dT/dxi) as in extended_neumann, and
     scaled by a power of two once |y| leaves (2^-64, 2^64), so they cannot
     overflow and y stays exactly proportional to neumann_solution's pair.
     A free gap advances the angle by sqrt(xi) times its length. Across a
     bump piece the angle of scale sigma = max(1, sqrt(xi)) is read off y
     modulo 2 pi, on the branch nearest the guess
-    phi + ((sigma^2 + xi) d - lam int W)/(2 sigma) of the Prufer equation
+    phi + ((sigma^2 + xi) length - lam int W)/(2 sigma) of the Prufer equation
     phi' = sigma cos^2 + ((xi - lam W)/sigma) sin^2; the stream keeps every
     piece short enough that the true angle lies within pi/2 of it. From
     the final pair,
@@ -155,22 +155,22 @@ def _phase_walk(V: PearsonPotential, xi: float, L: float, steps: int):
     s = math.sqrt(xi)
     sigma = max(1.0, s)
     theta = 0.5 * math.pi
-    y, v = np.array([1.0, 0.0]), np.zeros(2)
-    for T, D, d, w in _piece_maps(V, xi, 0.0, L, steps):
-        y, v = T @ y, T @ v + D @ y
+    u, du, v, dv = 1.0, 0.0, 0.0, 0.0
+    for (a, b, c, d), (e, f, g, h), length, w in _piece_maps(V, xi, 0.0, L, steps):
+        v, dv = (a * v + b * dv) + (e * u + f * du), (c * v + d * dv) + (g * u + h * du)
+        u, du = a * u + b * du, c * u + d * du
         if w is None:
-            theta += s * d
+            theta += s * length
         else:
-            guess = _rescale_angle(theta, s, sigma) + ((sigma * sigma + xi) * d - w) / (2.0 * sigma)
-            phi = guess + math.remainder(math.atan2(sigma * y[0], y[1]) - guess, 2.0 * math.pi)
+            guess = _rescale_angle(theta, s, sigma) + ((sigma * sigma + xi) * length - w) / (2.0 * sigma)
+            phi = guess + math.remainder(math.atan2(sigma * u, du) - guess, 2.0 * math.pi)
             theta = _rescale_angle(phi, sigma, s)
-        r = math.hypot(y[0], y[1])
+        r = math.hypot(u, du)
         if not 2.0**-64 < r < 2.0**64:
             scale = math.ldexp(1.0, -math.frexp(r)[1])
-            y, v = y * scale, v * scale
-    (u, du), (u_xi, du_xi) = y.tolist(), v.tolist()
+            u, du, v, dv = u * scale, du * scale, v * scale, dv * scale
     r2 = xi * u * u + du * du
-    slope = (0.5 * u * du / s + s * (du * u_xi - u * du_xi)) / r2
+    slope = (0.5 * u * du / s + s * (du * v - u * dv)) / r2
     return theta, slope, du / math.sqrt(r2)
 
 

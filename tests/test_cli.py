@@ -146,6 +146,13 @@ class TestConfigRejection:
         assert code == 2
         assert "config error: interval needs exactly two endpoints" in capsys.readouterr().err
 
+    def test_reversed_hatn_window_rejected(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        code = main(["hatn", "--window", "2,1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: interval must be inside (0, inf)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("ell", ["-5", "-1"])
     def test_negative_probe_ell_rejected(self, ell, tmp_path, capsys):
         cfg = tmp_path / "two.cfg"

@@ -106,6 +106,19 @@ class TestFormulaRoute:
         ev = pl.cd_formula(two_bump(), 1.0 + 1e-12j, 1.0, 50.0)
         assert ev.method == "quadrature"
 
+    @pytest.mark.parametrize("L", [1e6, 1e8])
+    def test_clock_scale_pairs_use_the_formula_at_large_length(self, L):
+        # the near-diagonal threshold is in units of 1/L: pairs a clock
+        # spacing apart keep the boundary formula however large L is
+        V = cli.canonical_potential().build()
+        den = pl.cd_quadrature(V, 1.0, 1.0, L).value
+        for a, b in ((0.25, 0.0), (0.5, 0.0), (-0.25, 0.25)):
+            want = pl.cd_quadrature(V, 1.0 + a / L, 1.0 + b / L, L).value / den
+            assert pl.kernel_ratio(V, 1.0, a, b, L) == pytest.approx(want, rel=1e-6)
+            assert pl.cd_formula(V, 1.0 + a / L, 1.0 + b / L, L).method == "cd_formula"
+        for gap in (0.0, 1e-9, 1e-8):
+            assert pl.cd_formula(V, 1.0 + 0.5 / L, 1.0 + (0.5 + gap) / L, L).method == "accumulated"
+
 
 class TestDiagonalRoute:
     def test_free_closed_form(self):
@@ -194,12 +207,13 @@ class TestKernelRatio:
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
     def test_default_steps_share_a_diagonal_entry(self):
+        # three walks: both shifted arguments and the diagonal at xi
         V = two_bump()
-        kernel._diagonal_value.cache_clear()
+        propagate._extended_walk.cache_clear()
         pl.kernel_ratio(V, 1.1, 0.5, -0.5, 70.0)
         pl.kernel_ratio(V, 1.1, 0.5, -0.5, 70.0, steps=pl.DEFAULTS.steps_per_bump)
-        info = kernel._diagonal_value.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        info = propagate._extended_walk.cache_info()
+        assert (info.hits, info.misses) == (3, 3)
 
 
 class TestKappa:
@@ -361,7 +375,7 @@ def _per_pair(V, alpha, beta, L):
     """S_L(alpha, beta) as the boundary formula computed it pair by pair:
     Neumann pairs from neumann_solution, and the diagonal route at the
     midpoint (real) or the running integral (complex) near the diagonal."""
-    if abs(alpha - beta) < kernel._NEAR_DIAGONAL * max(1.0, abs(alpha)):
+    if abs(alpha - beta) * L < kernel._NEAR_DIAGONAL:
         if isinstance(alpha, complex) or isinstance(beta, complex):
             return pl.cd_quadrature(V, alpha, beta, L).value
         return pl.cd_diagonal(V, 0.5 * (alpha + beta), L).value
@@ -384,10 +398,10 @@ class TestRatioGrid:
     @given(bump_potentials(), st.integers(0, 2), st.floats(0.3, 3.0), st.floats(5.0, 200.0),
            _SHIFTS, _SHIFTS, st.floats(0.1, 1.0))
     def test_real_grid_is_the_per_pair_formula(self, V, ell, xi, L, a_grid, b_grid, t):
-        # a_grid[0] + t * 5e-9 * L against a_grid[0] is a distinct pair within
+        # a_grid[0] + t * 5e-7 against a_grid[0] is a distinct pair within
         # the near-diagonal threshold, so the midpoint reroute runs off the
         # exact diagonal; b = 0 shares its walk with the normalisation
-        near = a_grid[0] + t * 5e-9 * L
+        near = a_grid[0] + t * 5e-7
         a_grid, b_grid = a_grid + [near], b_grid + [a_grid[0], 0.0]
         assert _arg(xi, near, L) != _arg(xi, a_grid[0], L)
         assert pl.cd_formula(V, _arg(xi, near, L), _arg(xi, a_grid[0], L), L).method == "accumulated"
@@ -418,11 +432,12 @@ class TestRatioGrid:
 
 
 class TestGridWalks:
-    """Walks behind the grid users, counted by wrapping the walkers."""
+    """Walks behind the grid users, counted by wrapping the walkers: every
+    walk that misses the caches folds one _piece_maps stream."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"extended_neumann": 0, "propagate_to": 0, "truncate": 0}
+        calls = {"_piece_maps": 0, "propagate_to": 0, "truncate": 0}
 
         def counting(owner, name):
             original = getattr(owner, name)
@@ -433,10 +448,10 @@ class TestGridWalks:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counting(kernel, "extended_neumann")
+        counting(propagate, "_piece_maps")
         counting(propagate, "propagate_to")
         counting(pl.PearsonPotential, "truncate")
-        for cache in (kernel._extended_state, kernel._diagonal_value, propagate._neumann_state):
+        for cache in (propagate._extended_walk, propagate._neumann_state):
             cache.cache_clear()
         return calls
 
@@ -447,10 +462,10 @@ class TestGridWalks:
         V = cli.canonical_potential().build()
         rows = cli._kernel_rows(V, 1e4, 1.0, ab, ab, None)
         assert len(rows) == 81 and all(row[-1] == "ok" for row in rows)
-        assert calls == {"extended_neumann": 9, "propagate_to": 0, "truncate": 0}
+        assert calls == {"_piece_maps": 9, "propagate_to": 0, "truncate": 0}
 
     def test_hat_n_search_truncates_once(self, calls):
         # 12 trial lengths x 5 xi x 5 shifted arguments
         V = cli.canonical_potential().build()
         assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
-        assert calls == {"extended_neumann": 300, "propagate_to": 0, "truncate": 1}
+        assert calls == {"_piece_maps": 300, "propagate_to": 0, "truncate": 1}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pearsonlab as pl
 from pearsonlab import propagate
-from pearsonlab.config import DEFAULTS
+from pearsonlab.config import DEFAULTS, Settings
 from pearsonlab.propagate import DeterminantDriftError, _magnus_map, _neumann_state
 
 from util import bump_potentials, cell_edge_pairs, monolithic_rk4, one_bump, two_bump
@@ -170,7 +170,7 @@ class TestBumpJet:
         profile = pl.canonical_bump()
         for xi in _JET_GRID:
             xi = propagate._as_scalar(xi)
-            T, D = propagate._bump_map(profile, lam, xi, 0.0, 1.0, steps)
+            T, D = (np.array(m).reshape(2, 2) for m in propagate._bump_map(profile, lam, xi, 0.0, 1.0, steps))
             T_ref, D_ref = _magnus_map(profile, lam, xi, 0.0, 1.0, steps)
             assert T.dtype == T_ref.dtype
             assert np.abs(T - T_ref).max() <= 1e-12 * np.abs(T_ref).max(), xi
@@ -272,30 +272,75 @@ class TestBumpSplit:
         assert bumps == [1.0] * sum(c < L for c in V.centers)
 
 
+def _numpy_fold(V, xi, x):
+    """(T, dT/dxi) of V from 0 to x as products of 2 x 2 numpy arrays:
+    free_transfer and free_transfer_dxi on gaps, bump_transfer and the
+    bump jet on full supports, the direct map on partial ones."""
+    T = np.eye(2, dtype=complex if isinstance(xi, complex) else float)
+    D = np.zeros_like(T)
+    for seg in pl.segments(V, 0.0, x):
+        if seg[0] == "free":
+            P, dP = pl.free_transfer(xi, *seg[1:]).entries, pl.free_transfer_dxi(xi, *seg[1:])
+        else:
+            _, a, b, k = seg
+            c, lam = V.centers[k], V.amplitudes[k]
+            if propagate._is_full_bump(a - c, b - c):
+                P = pl.bump_transfer(V.profile, lam, xi).entries
+                xi0 = propagate._lattice_point(xi)
+                dP = propagate._jet_eval(propagate._bump_jet(V.profile, lam, 512, xi0), xi - xi0)[1]
+            else:
+                P, dP = _magnus_map(V.profile, lam, xi, a - c, b - c, 512)
+        T, D = P @ T, P @ D + dP @ T
+    return T, D
+
+
+class TestScalarFolds:
+    """The scalar folds over the piece stream against the numpy fold, for
+    bumps too weak to be split, with x inside and across bump supports."""
+
+    @pytest.mark.parametrize("V", [two_bump(), one_bump(-2.0, 3.0)], ids=["two_bump", "one_bump"])
+    @pytest.mark.parametrize("xi", [0.7, 2.3, complex(1.1, 0.05), complex(0.8, -0.3)])
+    @pytest.mark.parametrize("x", [3.6, 10.4, 50.0, 100.7, 150.0])
+    def test_matches_numpy_fold(self, V, xi, x):
+        T_ref, D_ref = _numpy_fold(V, xi, x)
+        scale = np.abs(T_ref).max()
+        T = pl.transfer_to(V, xi, x).entries
+        assert np.abs(T - T_ref).max() <= 1e-13 * scale
+        s = pl.propagate_to(V, xi, x, pl.SolutionState(1.0, 0.0, 0.0))
+        assert np.abs(np.array([s.u, s.du]) - T_ref[:, 0]).max() <= 1e-13 * scale
+        if not isinstance(xi, complex):
+            e = pl.extended_neumann(V, xi, x)
+            assert np.abs(np.array([e.u, e.du]) - T_ref[:, 0]).max() <= 1e-13 * scale
+            v = np.array([e.u_xi, e.du_xi])
+            assert np.abs(v - D_ref[:, 0]).max() <= 1e-13 * np.abs(D_ref).max()
+
+
 class TestNeumannCache:
+    # a real argument is cached as its extended walk
     def test_numpy_and_plain_xi_share_an_entry(self):
         V = two_bump()
-        _neumann_state.cache_clear()
+        propagate._extended_walk.cache_clear()
         a = pl.neumann_solution(V, 1.25, 57.0)
         b = pl.neumann_solution(V, np.float64(1.25), np.float64(57.0))
-        info = _neumann_state.cache_info()
+        info = propagate._extended_walk.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        assert b is a
+        assert b == a
 
     def test_default_steps_share_an_entry(self):
         V = two_bump()
-        _neumann_state.cache_clear()
+        propagate._extended_walk.cache_clear()
         a = pl.neumann_solution(V, 0.9, 120.0)
         b = pl.neumann_solution(V, 0.9, 120.0, steps=DEFAULTS.steps_per_bump)
-        info = _neumann_state.cache_info()
+        info = propagate._extended_walk.cache_info()
         assert (info.hits, info.misses) == (1, 1)
-        assert b is a
+        assert b == a
 
     @pytest.mark.parametrize("xi", [0.9, complex(0.9, 0.2)])
     def test_cached_value_is_the_propagation(self, xi):
         V = two_bump()
         ref = pl.propagate_to(V, xi, 120.0, pl.SolutionState(1.0, 0.0, 0.0))
         _neumann_state.cache_clear()
+        propagate._extended_walk.cache_clear()
         for _ in range(2):
             s = pl.neumann_solution(V, xi, 120.0)
             assert (s.u, s.du, s.x) == (ref.u, ref.du, ref.x)
@@ -486,6 +531,19 @@ class TestDeterminantConservation:
         with pytest.raises(DeterminantDriftError):
             pl.TransferMatrix(bad, 0.0, 1.0)
 
+    def test_nan_determinant_is_drift(self):
+        with pytest.raises(DeterminantDriftError):
+            pl.TransferMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]]), 0.0, 1.0)
+
+    @pytest.mark.parametrize("walk", [pl.neumann_solution, pl.extended_neumann, pl.phase],
+                             ids=["neumann", "extended", "phase"])
+    def test_walks_enforce_the_budget(self, walk, monkeypatch):
+        # the scalar free-gap maps run the same check as TransferMatrix
+        monkeypatch.setattr(propagate, "DEFAULTS", Settings(det_tol_per_unit=-1.0))
+        propagate._extended_walk.cache_clear()
+        with pytest.raises(DeterminantDriftError):
+            walk(two_bump(), 1.37, 64.0)
+
     def test_rounding_of_large_entries_is_not_drift(self):
         # |ad| + |bc| is about 9.6e7 here, so evaluating ad - bc alone
         # rounds by about 2e-8, above the 2.9e-9 per-unit budget
@@ -530,6 +588,7 @@ _INF = float("inf")
         lambda: pl.neumann_solution(_V, 1.0, _INF),
         lambda: pl.neumann_solution(_V, _NAN, 10.0),
         lambda: pl.extended_neumann(_V, 1.0, _INF),
+        lambda: pl.free_transfer(1.0, 0.0, _NAN),
         lambda: pl.transfer_to(_V, complex(1.0, _NAN), 10.0),
         lambda: pl.cd_quadrature(_V, 1.0, 1.1, _INF),
         lambda: pl.cd_formula(_V, 1.0, _NAN, 10.0),
@@ -538,7 +597,7 @@ _INF = float("inf")
         lambda: pl.PearsonPotential(pl.canonical_bump(), (0.5,), (_INF,)),
     ],
     ids=[
-        "phase-L", "phase-xi", "count-L", "neumann-x", "neumann-xi", "extended-x",
+        "phase-L", "phase-xi", "count-L", "neumann-x", "neumann-xi", "extended-x", "free-x1",
         "transfer-xi", "quadrature-L", "formula-zeta", "potential-nan",
         "potential-inf-amplitude", "potential-inf-center",
     ],
