@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernel import kernel_ratio, sine_kernel
+from .kernel import _ratio_grid, kernel_ratio, sine_kernel
 from .potential import (
     POTENTIAL_KEYS,
     PearsonPotential,
@@ -157,11 +157,15 @@ def config_from_mapping(kind: str, mapping: dict[str, str]) -> ExperimentConfig:
 
 
 def _kernel_rows(V, L, xi, a_grid, b_grid, steps):
+    try:  # one grid; if it raises, each pair is evaluated alone for its own error row
+        grid = _ratio_grid(V, xi, a_grid, b_grid, L, steps)
+    except Exception:  # noqa: BLE001 - the per-pair loop records the errors
+        grid = [[None] * len(b_grid)] * len(a_grid)
     rows = []
-    for a in a_grid:
-        for b in b_grid:
+    for a, grid_row in zip(a_grid, grid):
+        for b, value in zip(b_grid, grid_row):
             try:
-                value = kernel_ratio(V, xi, a, b, L, steps=steps)
+                value = kernel_ratio(V, xi, a, b, L, steps=steps) if value is None else value
                 target = sine_kernel(xi, a, b)
                 re = value.real if isinstance(value, complex) else value
                 im = value.imag if isinstance(value, complex) else 0.0
@@ -306,6 +310,8 @@ def _execute(tasks, workers: int):
 
 
 def _fmt(v) -> str:
+    if type(v) is float:  # most fields; the chain below gives the same text
+        return f"{v:.17g}"
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -356,15 +362,8 @@ def run(cfg: ExperimentConfig) -> int:
 
 def canonical_potential(count: int = 12) -> PotentialSpec:
     """Amplitudes n^(-1/4) (square sum divergent), centers 10, 100, 1000, ..."""
-    return PotentialSpec(
-        amplitude_rule="power",
-        amplitude_c=1.0,
-        amplitude_p=0.25,
-        center_rule="geometric",
-        center_n1=10.0,
-        center_gamma=10.0,
-        count=count,
-    )
+    return PotentialSpec(amplitude_rule="power", amplitude_c=1.0, amplitude_p=0.25,
+                         center_rule="geometric", center_n1=10.0, center_gamma=10.0, count=count)
 
 
 def reproduce_headline(

@@ -5,11 +5,13 @@ three mutually checking routes: a running integral carried through the
 propagation ("quadrature"), the boundary formula for distinct arguments
 ("cd_formula"), and the diagonal formula through the xi-derivative pair
 ("accumulated"). The normalized ratios are evaluated on grids of shifts
-(_ratio_grid), which walk each distinct shifted argument once; the
-one-pair functions are the 1 x 1 case.
+(_ratio_grid), which look up the walk of each distinct shifted argument
+once; each CLI kernel task and each (xi, x) of empirical_hat_N is one
+grid, and the one-pair functions are the 1 x 1 case.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,8 +21,10 @@ import numpy as np
 from .potential import BumpProfile, PearsonPotential
 from .propagate import (
     _as_scalar,
+    _extended_walk,
     _free_maps,
     _is_full_bump,
+    _neumann_state,
     _steps_or_default,
     extended_neumann,
     neumann_solution,
@@ -95,7 +99,7 @@ class KappaRatioGap:
 
 def rho(xi: float) -> float:
     """Limiting eigenvalue density per unit length of the free operator."""
-    if xi <= 0.0:
+    if not xi > 0.0:
         raise ValueError("the density of states is evaluated on (0, inf)")
     return 1.0 / (2.0 * math.pi * math.sqrt(xi))
 
@@ -106,8 +110,11 @@ def sine_kernel(xi: float, a, b):
     Equals 1 at a = b (removable singularity, series evaluation near 0).
     """
     xi = float(xi)
-    if xi <= 0.0:
+    if not xi > 0.0:
         raise ValueError("sine_kernel requires xi > 0")
+    for name, shift in (("a", a), ("b", b)):
+        if not cmath.isfinite(shift):
+            raise ValueError(f"sine_kernel requires a finite {name} (got {shift!r})")
     z = (b - a) / (2.0 * math.sqrt(xi))
     return sinc(z)
 
@@ -211,13 +218,21 @@ def cd_quadrature(
 # -- route 2: boundary formula -------------------------------------------------
 
 
-def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps):
-    """S_L(xi, zeta) and its route by the rule of cd_formula, from the cached walks to L."""
+def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps: int, walks: dict):
+    """S_L(xi, zeta) and its route by the rule of cd_formula. walks maps each
+    argument looked up so far to its cached walk to L (the extended walk of
+    a real one, the Neumann state of a complex one); a grid shares it."""
     if abs(xi - zeta) * L < _NEAR_DIAGONAL:
         if isinstance(xi, complex) or isinstance(zeta, complex):
             return cd_quadrature(V, xi, zeta, L, steps=steps).value, "quadrature"
-        return _diagonal(extended_neumann(V, 0.5 * (xi + zeta), L, steps=steps)), "accumulated"
-    s1, s2 = neumann_solution(V, xi, L, steps=steps), neumann_solution(V, zeta, L, steps=steps)
+        xi = zeta = 0.5 * (xi + zeta)  # the diagonal at the midpoint
+    for z in (xi, zeta):
+        if z not in walks:
+            walk = _neumann_state if isinstance(z, complex) else _extended_walk
+            walks[z] = walk(V, z, float(L), steps)
+    s1, s2 = walks[xi], walks[zeta]
+    if xi == zeta:
+        return _diagonal(s1), "accumulated"
     return (s1.u * s2.du - s2.u * s1.du) / (xi - zeta), "cd_formula"
 
 
@@ -235,7 +250,7 @@ def cd_formula(
         raise ValueError("the kernel needs L > 0")
     xi = _as_scalar(xi)
     zeta = _as_scalar(zeta)
-    value, method = _kernel_entry(V, xi, zeta, L, steps)
+    value, method = _kernel_entry(V, xi, zeta, L, _steps_or_default(steps), {})
     return KernelEvaluation(xi, zeta, float(L), value, method)
 
 
@@ -275,19 +290,19 @@ def _shifted(xi: float, a_grid, b_grid, x: float):
 def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps, *, kappa=False):
     """S_x(xi + a/x, xi + b/x) / norm for a in a_grid (rows) and b in b_grid.
 
-    norm is S_x(xi, xi), or x * kappa at (xi, x) when kappa is set. Walks
-    are cached in propagate, so each distinct argument is walked once: a
-    real one by the extended walk, which gives its Neumann pair and its
-    diagonal (the a = b = 0 entry and S_x(xi, xi) share it). Entries equal
-    the per-pair cd_formula values over the norm bit for bit. The first
-    failure raises.
+    norm is S_x(xi, xi), or x * kappa at (xi, x) when kappa is set. The
+    entries share one lookup of each distinct argument's cached walk, so
+    S_x(xi, xi) and an exactly diagonal real entry read the same walk.
+    Entries equal the per-pair cd_formula values over the norm bit for
+    bit. The first failure raises.
     """
     xi = float(xi)
     if not x > 0.0:
         raise ValueError("the kernel needs L > 0")
     alphas, betas = _shifted(xi, a_grid, b_grid, x)
-    nums = [[_kernel_entry(V, al, be, x, steps)[0] for be in betas] for al in alphas]
-    den = x * _kappa_value(V, xi, x, steps) if kappa else _diagonal(extended_neumann(V, xi, x, steps=steps))
+    steps, walks = _steps_or_default(steps), {}
+    nums = [[_kernel_entry(V, al, be, x, steps, walks)[0] for be in betas] for al in alphas]
+    den = x * _kappa_value(V, xi, x, steps) if kappa else _kernel_entry(V, xi, xi, x, steps, walks)[0]
     return [[num / den for num in row] for row in nums]
 
 
@@ -297,15 +312,16 @@ def kernel_ratio(
     """S_L(xi + a/L, xi + b/L) / S_L(xi, xi); a, b may be complex.
 
     The 1 x 1 case of _ratio_grid: the numerator is the cd_formula value,
-    the denominator the cached diagonal at (xi, L). The CLI kernel grid
-    calls it per pair; the cached walks make that one walk per argument.
+    the denominator the cached diagonal at (xi, L). The CLI evaluates a
+    kernel task as one grid and calls this per pair only to record each
+    pair's error when the grid raises.
     """
     return _ratio_grid(V, xi, (a,), (b,), L, steps)[0][0]
 
 
 def _kappa_value(V: PearsonPotential, xi: float, x: float, steps) -> float:
     """(a1_tilde^2 + a2_tilde^2)/2 of the Neumann pair of V at (xi, x)."""
-    if xi <= 0.0:
+    if not xi > 0.0:
         raise ValueError("kappa requires xi > 0")
     coeffs = variation_coeffs_from_state(neumann_solution(V, xi, x, steps=steps), xi)
     return float(0.5 * (coeffs.a1_tilde**2 + coeffs.a2_tilde**2))

@@ -105,8 +105,9 @@ class PearsonPotential:
     def evaluate(self, x: float) -> float:
         """Potential value at x >= 0; binary search over bump supports."""
         x = float(x)
-        if x < 0.0:
-            raise ValueError("the potential lives on the half-line, x must be >= 0")
+        if not 0.0 <= x < math.inf:
+            raise ValueError(
+                f"the potential lives on the half-line: x must be finite and >= 0 (got {x!r})")
         k = bisect_right(self.centers, x) - 1
         if k >= 0 and x - self.centers[k] <= 1.0:
             return self.amplitudes[k] * self.profile.evaluate(x - self.centers[k])

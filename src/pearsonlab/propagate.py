@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-_SERIES_CUT = 1e-4  # |sqrt(xi)*dx| below which trig helpers use series forms
+_SERIES_CUT = 1e-4  # |z| below which sinc uses its series form
 
 
 class DeterminantDriftError(RuntimeError):
@@ -107,19 +107,24 @@ def sinc(z):
 
 
 def vercosc(z):
-    """(1 - cos z)/z with a series form near z = 0."""
-    if abs(z) < _SERIES_CUT:
-        z2 = z * z
-        return z * (0.5 - z2 / 24.0 + z2 * z2 / 720.0)
-    return (1.0 - _cos(z)) / z
+    """(1 - cos z)/z as 2 sin^2(z/2)/z, which does not cancel near z = 0."""
+    h = _sin(0.5 * z)
+    return 2.0 * h * (h / z) if z else z
 
 
-def _gcub(z):
-    """(z cos z - sin z)/z^3 with a series form near z = 0 (limit -1/3)."""
-    if abs(z) < _SERIES_CUT:
-        z2 = z * z
-        return -1.0 / 3.0 + z2 / 30.0 - z2 * z2 / 840.0
-    return (z * _cos(z) - _sin(z)) / (z * z * z)
+# Taylor coefficients of _gcub, sum_{k>=1} (-1)^k 2k z^(2k-2)/(2k+1)!, highest
+# first; at |z| < 0.5, where the closed form cancels, 8 terms reach 1e-17
+_GCUB_COEFFS = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(8, 0, -1))
+
+
+def _gcub(z, c, sc):
+    """(z cos z - sin z)/z^3 (limit -1/3) from c = cos z and sc = sinc z."""
+    if abs(z) < 0.5:
+        z2, acc = z * z, 0.0
+        for coeff in _GCUB_COEFFS:
+            acc = acc * z2 + coeff
+        return acc
+    return (c - sc) / (z * z)
 
 
 @dataclass(frozen=True)
@@ -231,7 +236,7 @@ def _free_maps(xi, x0: float, x1: float):
     t12, t21 = d * sc, -xi * d * sc
     _check_det(c * c, t12 * t21, x0, x1)
     d11 = -0.5 * d * d * sc
-    return (c, t12, t21, c), (d11, 0.5 * d * d * d * _gcub(z), -0.5 * d * (sc + c), d11)
+    return (c, t12, t21, c), (d11, 0.5 * d * d * d * _gcub(z, c, sc), -0.5 * d * (sc + c), d11)
 
 
 def free_transfer(xi, x0: float, x1: float) -> TransferMatrix:

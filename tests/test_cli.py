@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pearsonlab.cli import HEADERS, SCHEMA_LINE, main
@@ -245,6 +246,32 @@ class TestSchema:
         for key, (_, want) in self.KEYS.items():
             value = getattr(seen[0], key)
             assert value == want and type(value) is type(want), key
+
+
+class TestFieldFormat:
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.10000000000000001"),
+        (2.0, "2"),
+        (-1e-300, "-1e-300"),
+        (float("nan"), "nan"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (7, "7"),
+        (np.int64(-3), "-3"),
+        (True, "1"),
+        (False, "0"),
+        ("error: bad xi", "error: bad xi"),
+    ])
+    def test_field_text(self, value, text):
+        from pearsonlab.cli import _fmt
+
+        assert _fmt(value) == text
+
+    @pytest.mark.parametrize("text", ["a,b", "a\nb"])
+    def test_separators_rejected(self, text):
+        from pearsonlab.cli import _fmt
+
+        with pytest.raises(ValueError, match="must not contain commas or newlines"):
+            _fmt(text)
 
 
 class TestErrorRows:

@@ -32,6 +32,19 @@ class TestSineKernel:
         with pytest.raises(ValueError):
             pl.rho(-1.0)
 
+    def test_nan_energy_rejected(self):
+        # NaN compares false both ways, so only "not xi > 0" rejects it
+        with pytest.raises(ValueError, match="xi > 0"):
+            pl.sine_kernel(math.nan, 0.0, 1.0)
+        with pytest.raises(ValueError, match="evaluated on"):
+            pl.rho(math.nan)
+
+    @pytest.mark.parametrize("name, a, b", [("a", math.inf, 0.0), ("b", 0.0, math.nan),
+                                            ("b", 0.0, complex(1.0, math.inf))])
+    def test_non_finite_shift_rejected(self, name, a, b):
+        with pytest.raises(ValueError, match=f"requires a finite {name} "):
+            pl.sine_kernel(1.0, a, b)
+
     def test_even_in_separation(self):
         assert pl.sine_kernel(2.0, -1.0, 1.5) == pl.sine_kernel(2.0, 1.5, -1.0)
 
@@ -433,17 +446,18 @@ class TestRatioGrid:
 
 class TestGridWalks:
     """Walks behind the grid users, counted by wrapping the walkers: every
-    walk that misses the caches folds one _piece_maps stream."""
+    walk that misses the caches folds one _piece_maps stream, and every
+    call from kernel into a cached walk entry point is one lookup."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"_piece_maps": 0, "propagate_to": 0, "truncate": 0}
+        calls = {"_piece_maps": 0, "propagate_to": 0, "truncate": 0, "lookups": 0}
 
-        def counting(owner, name):
+        def counting(owner, name, key=None):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key or name] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
@@ -451,21 +465,46 @@ class TestGridWalks:
         counting(propagate, "_piece_maps")
         counting(propagate, "propagate_to")
         counting(pl.PearsonPotential, "truncate")
+        for name in ("neumann_solution", "extended_neumann", "_extended_walk", "_neumann_state"):
+            counting(kernel, name, "lookups")
         for cache in (propagate._extended_walk, propagate._neumann_state):
             cache.cache_clear()
         return calls
 
     def test_cli_kernel_task_walks_each_argument_once(self, calls):
         # seed-0 criterion-4 grid at L = 1e4, xi = 1: 9 distinct shifted
-        # arguments, and a = 0 is the walk of the normalisation too
+        # arguments, and a = 0 is the walk of the normalisation too; one
+        # lookup per argument of each grid side and one for the norm is 19
         ab = [-2.0 + 0.5 * i for i in range(9)]
         V = cli.canonical_potential().build()
         rows = cli._kernel_rows(V, 1e4, 1.0, ab, ab, None)
         assert len(rows) == 81 and all(row[-1] == "ok" for row in rows)
+        assert calls.pop("lookups") <= 19
         assert calls == {"_piece_maps": 9, "propagate_to": 0, "truncate": 0}
 
     def test_hat_n_search_truncates_once(self, calls):
-        # 12 trial lengths x 5 xi x 5 shifted arguments
+        # 12 trial lengths x 5 xi x 5 shifted arguments; one lookup per
+        # argument of each grid side and one for kappa is 11 per grid
         V = cli.canonical_potential().build()
         assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
+        assert calls.pop("lookups") <= 660
         assert calls == {"_piece_maps": 300, "propagate_to": 0, "truncate": 1}
+
+    def test_cli_kernel_rows_are_the_per_pair_rows(self):
+        # 0.5 + 5e-7 against 0.5 is a near-diagonal pair at L = 1e4 (the
+        # midpoint reroute), 0.5 against 0.5 an exactly diagonal one, and
+        # the complex diagonal takes the running integral
+        V = cli.canonical_potential().build()
+        L, xi = 1e4, 1.0
+        a_grid, b_grid = [-1.0, 0.0, 0.5, 0.5 + 5e-7, 0.25j], [0.5, 0.0, 1.25, 0.25j]
+        assert pl.cd_formula(V, xi + 0.5 / L, xi + (0.5 + 5e-7) / L, L).method == "accumulated"
+        want = []
+        for a in a_grid:
+            for b in b_grid:
+                value = pl.kernel_ratio(V, xi, a, b, L)
+                target = pl.sine_kernel(xi, a, b)
+                re = value.real if isinstance(value, complex) else value
+                im = value.imag if isinstance(value, complex) else 0.0
+                want.append(
+                    ["kernel_ratio", xi, a, b, L, re, im, target, abs(value - target), "ok"])
+        assert cli._kernel_rows(V, L, xi, a_grid, b_grid, None) == want

@@ -67,6 +67,11 @@ class TestPearsonPotential:
         V = pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25), (10.0, 100.0))
         assert V.evaluate(100.5) == pytest.approx(0.25, rel=1e-15)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_position_rejected(self, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            one_bump(0.5, 10.0).evaluate(x)
+
     def test_negative_position_rejected(self):
         with pytest.raises(ValueError):
             one_bump().evaluate(-1.0)

@@ -54,6 +54,40 @@ class TestFreeTransfer:
         assert T.entries.dtype == np.complex128
 
 
+class TestTrigHelpers:
+    """vercosc and _gcub against 40-digit mpmath, within 1e-14 of the
+    function's scale: |exact| for |z| <= 1, and the larger of |exact| and
+    1/|z|^2 above (|cos z| grows like e^|Im z|/2 off the real axis)."""
+
+    REAL = [float(z) for z in np.geomspace(1e-8, 20.0, 400)] + [
+        math.nextafter(cut, side) for cut in (1e-4, 0.5) for side in (0.0, 1.0)
+    ]
+    COMPLEX = [r * complex(math.cos(t), math.sin(t)) for r in np.geomspace(1e-8, 20.0, 80)
+               for t in (-math.pi / 4, -0.3, 0.1, math.pi / 4)]
+
+    @pytest.mark.parametrize("name", ["vercosc", "_gcub"])
+    def test_matches_mpmath(self, name):
+        mpmath = pytest.importorskip("mpmath")
+        exact = {
+            "vercosc": lambda z: (1 - mpmath.cos(z)) / z,
+            "_gcub": lambda z: (z * mpmath.cos(z) - mpmath.sin(z)) / z**3,
+        }[name]
+        got = {
+            "vercosc": propagate.vercosc,
+            "_gcub": lambda z: propagate._gcub(z, propagate._cos(z), propagate.sinc(z)),
+        }[name]
+        with mpmath.workdps(40):
+            for z in self.REAL + self.COMPLEX:
+                want = exact(mpmath.mpmathify(z))
+                scale = abs(want) if abs(z) <= 1.0 else max(abs(want), 1.0 / abs(z) ** 2)
+                assert abs(got(z) - want) <= 1e-14 * scale, z
+
+    def test_vercosc_at_zero_and_below_the_square_underflow(self):
+        assert propagate.vercosc(0.0) == 0.0 and propagate.vercosc(0j) == 0j
+        assert propagate.vercosc(1e-300) == 5e-301
+        assert propagate.vercosc(1e-300j) == 5e-301j
+
+
 class TestBumpTransfer:
     def test_zero_amplitude_matches_free(self):
         for steps in (64, 256, 512):
