@@ -310,14 +310,12 @@ def _execute(tasks, workers: int):
 
 
 def _fmt(v) -> str:
-    if type(v) is float:  # most fields; the chain below gives the same text
-        return f"{v:.17g}"
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.17g}"
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
     text = str(v)
     if "," in text or "\n" in text:
         raise ValueError(f"CSV fields must not contain commas or newlines: {text!r}")
@@ -362,8 +360,15 @@ def run(cfg: ExperimentConfig) -> int:
 
 def canonical_potential(count: int = 12) -> PotentialSpec:
     """Amplitudes n^(-1/4) (square sum divergent), centers 10, 100, 1000, ..."""
-    return PotentialSpec(amplitude_rule="power", amplitude_c=1.0, amplitude_p=0.25,
-                         center_rule="geometric", center_n1=10.0, center_gamma=10.0, count=count)
+    return PotentialSpec(
+        amplitude_rule="power",
+        amplitude_c=1.0,
+        amplitude_p=0.25,
+        center_rule="geometric",
+        center_n1=10.0,
+        center_gamma=10.0,
+        count=count,
+    )
 
 
 def reproduce_headline(

@@ -371,8 +371,13 @@ def density_of_states(
     counts = [counts_at[i + 1] - counts_at[i] for i in range(bins)]
     masses = [c / L for c in counts]
     free = [(math.sqrt(edges[i + 1]) - math.sqrt(edges[i])) / math.pi for i in range(bins)]
-    return DosEstimate(L=float(L), edges=tuple(edges), counts=tuple(counts),
-                       masses=tuple(masses), free_masses=tuple(free))
+    return DosEstimate(
+        L=float(L),
+        edges=tuple(edges),
+        counts=tuple(counts),
+        masses=tuple(masses),
+        free_masses=tuple(free),
+    )
 
 
 def oracle_eigenvalues(

@@ -473,21 +473,21 @@ class TestGridWalks:
 
     def test_cli_kernel_task_walks_each_argument_once(self, calls):
         # seed-0 criterion-4 grid at L = 1e4, xi = 1: 9 distinct shifted
-        # arguments, and a = 0 is the walk of the normalisation too; one
-        # lookup per argument of each grid side and one for the norm is 19
+        # arguments, and a = 0 is the walk of the normalisation too; rows,
+        # columns and the norm share one dict of walks, so 9 lookups
         ab = [-2.0 + 0.5 * i for i in range(9)]
         V = cli.canonical_potential().build()
         rows = cli._kernel_rows(V, 1e4, 1.0, ab, ab, None)
         assert len(rows) == 81 and all(row[-1] == "ok" for row in rows)
-        assert calls.pop("lookups") <= 19
+        assert calls.pop("lookups") == 9
         assert calls == {"_piece_maps": 9, "propagate_to": 0, "truncate": 0}
 
     def test_hat_n_search_truncates_once(self, calls):
-        # 12 trial lengths x 5 xi x 5 shifted arguments; one lookup per
-        # argument of each grid side and one for kappa is 11 per grid
+        # 12 trial lengths x 5 xi x 5 shifted arguments; rows and columns
+        # share one dict of walks, and kappa makes one more lookup: 6 per grid
         V = cli.canonical_potential().build()
         assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
-        assert calls.pop("lookups") <= 660
+        assert calls.pop("lookups") == 360
         assert calls == {"_piece_maps": 300, "propagate_to": 0, "truncate": 1}
 
     def test_cli_kernel_rows_are_the_per_pair_rows(self):
