@@ -105,7 +105,7 @@ class ExperimentConfig:
             raise ConfigError("depth must be at least 1")
         if self.kind in ("dos", "hatn"):
             lo, hi = self.interval
-            if not (0 < lo < hi):
+            if not 0 < lo < hi < np.inf:
                 raise ConfigError("interval must be inside (0, inf)")
         if self.kind == "dos" and self.bins < 1:
             raise ConfigError("bins must be at least 1")

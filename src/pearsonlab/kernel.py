@@ -291,8 +291,9 @@ def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps,
     """S_x(xi + a/x, xi + b/x) / norm for a in a_grid (rows) and b in b_grid.
 
     norm is S_x(xi, xi), or x * kappa at (xi, x) when kappa is set. The
-    entries share one lookup of each distinct argument's cached walk, so
-    S_x(xi, xi) and an exactly diagonal real entry read the same walk.
+    entries and the norm share one lookup of each distinct argument's
+    cached walk, so S_x(xi, xi), kappa (when 0 is a shift) and an exactly
+    diagonal real entry read the same walk.
     Entries equal the per-pair cd_formula values over the norm bit for
     bit. The first failure raises.
     """
@@ -302,7 +303,8 @@ def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps,
     alphas, betas = _shifted(xi, a_grid, b_grid, x)
     steps, walks = _steps_or_default(steps), {}
     nums = [[_kernel_entry(V, al, be, x, steps, walks)[0] for be in betas] for al in alphas]
-    den = x * _kappa_value(V, xi, x, steps) if kappa else _kernel_entry(V, xi, xi, x, steps, walks)[0]
+    den = (x * _kappa_value(V, xi, x, steps, walks.get(xi)) if kappa
+           else _kernel_entry(V, xi, xi, x, steps, walks)[0])
     return [[num / den for num in row] for row in nums]
 
 
@@ -319,11 +321,13 @@ def kernel_ratio(
     return _ratio_grid(V, xi, (a,), (b,), L, steps)[0][0]
 
 
-def _kappa_value(V: PearsonPotential, xi: float, x: float, steps) -> float:
-    """(a1_tilde^2 + a2_tilde^2)/2 of the Neumann pair of V at (xi, x)."""
+def _kappa_value(V: PearsonPotential, xi: float, x: float, steps, walk=None) -> float:
+    """(a1_tilde^2 + a2_tilde^2)/2 of the Neumann pair of V at (xi, x); walk,
+    if given, is xi's cached walk to x, which holds that pair."""
     if not xi > 0.0:
         raise ValueError("kappa requires xi > 0")
-    coeffs = variation_coeffs_from_state(neumann_solution(V, xi, x, steps=steps), xi)
+    state = neumann_solution(V, xi, x, steps=steps) if walk is None else walk
+    coeffs = variation_coeffs_from_state(state, xi)
     return float(0.5 * (coeffs.a1_tilde**2 + coeffs.a2_tilde**2))
 
 

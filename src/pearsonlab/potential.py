@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import chain
 from typing import Callable, Sequence
 
 __all__ = [
@@ -189,16 +190,19 @@ def empirical_hat_N(
     normalized kernel ratio of the ell-bump truncation (kappa_ratio) stays
     within `tolerance` of the sinc target for all xi in `window` (xi_points
     samples) and all real |a|, |b| <= ab_bound (ab_points samples each).
-    The potential is truncated once, and each (xi, x) is one grid
-    evaluation that walks each shifted argument once.
+    The potential is truncated once. Trials are evaluated in increasing
+    order and only as far as the answer needs: each is a pass/fail check
+    that stops at the first ratio outside tolerance (a NaN ratio fails),
+    going xi by xi over grid evaluations that walk each shifted argument
+    once, and the scan stops once the answer is settled.
     """
     from .kernel import _ratio_grid, sine_kernel
 
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     lo, hi = float(window[0]), float(window[1])
-    if not (0.0 < lo <= hi):
-        raise ValueError("window must be a subinterval of (0, inf)")
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError(f"window {lo} to {hi} must be a finite subinterval of the positive reals")
     if not ab_bound >= 0.0:
         raise ValueError("ab_bound must be non-negative")
     if xi_points < 1 or ab_points < 1:
@@ -230,22 +234,24 @@ def empirical_hat_N(
     Vt = V.truncate(ell)
     targets = [[sine_kernel(xi, a, b) for a in ab_grid for b in ab_grid] for xi in xi_grid]
 
-    def sup_error(length: float) -> float:
-        worst = 0.0
-        for xi, target in zip(xi_grid, targets):
-            grid = _ratio_grid(Vt, xi, ab_grid, ab_grid, length, steps, kappa=True)
-            for val, want in zip((v for row in grid for v in row), target):
-                worst = max(worst, abs(val - want))
-        return worst
-
-    errors = [sup_error(t) for t in trials]
-    for i, t in enumerate(trials):
-        ok = all(
-            errors[j] < tolerance
-            for j in range(i, len(trials))
-            if trials[j] <= horizon_factor * t * (1.0 + 1e-12)
+    def passes(length: float) -> bool:
+        return all(
+            abs(val - want) < tolerance
+            for xi, target in zip(xi_grid, targets)
+            for val, want in zip(chain.from_iterable(
+                _ratio_grid(Vt, xi, ab_grid, ab_grid, length, steps, kappa=True)), target)
         )
-        if ok:
+
+    passed = []  # pass/fail of trials[0], trials[1], ...; grows on demand
+
+    def trial_passes(j: int) -> bool:
+        while len(passed) <= j:
+            passed.append(passes(trials[len(passed)]))
+        return passed[j]
+
+    for i, t in enumerate(trials):
+        end = horizon_factor * t * (1.0 + 1e-12)
+        if all(trial_passes(j) for j in range(i, len(trials)) if trials[j] <= end):
             return t
     raise HatNSearchError(
         f"no trial length up to {max_length} kept the kernel ratio within "

@@ -278,25 +278,32 @@ def _gauss_samples(profile: BumpProfile, la: float, lb: float, steps: int):
 
 
 def _exp_coeffs(m):
-    """cosh(r), sinh(r)/r and d/dm of sinh(r)/r at r = sqrt(m), entrywise.
+    """cosh(r) and sinh(r)/r at r = sqrt(m), entrywise.
 
-    All three are entire in m; small |m| takes their Taylor series, which
-    also avoids the cancellation in the closed form of the derivative.
-    The series is evaluated everywhere, the closed form only where
-    |m| >= _EXP_SERIES_CUT.
+    Both are entire in m; small |m| takes their Taylor series. The series
+    is evaluated everywhere, the closed form only where |m| >= _EXP_SERIES_CUT.
     """
     ch = 1.0 + m / 2 * (1.0 + m / 12 * (1.0 + m / 30 * (1.0 + m / 56)))
     sh = 1.0 + m / 6 * (1.0 + m / 20 * (1.0 + m / 42 * (1.0 + m / 72)))
-    dsh = (1.0 + m / 10 * (1.0 + m / 28 * (1.0 + m / 54))) / 6.0
     big = np.abs(m) >= _EXP_SERIES_CUT
     if big.any():
-        mb = m[big]
-        r = np.sqrt(mb.astype(complex))
+        r = np.sqrt(m[big].astype(complex))
         chb, shb = np.cosh(r), np.sinh(r) / r
         if not np.iscomplexobj(m):
             chb, shb = chb.real, shb.real
-        ch[big], sh[big], dsh[big] = chb, shb, (chb - shb) / (2.0 * mb)
-    return ch, sh, dsh
+        ch[big], sh[big] = chb, shb
+    return ch, sh
+
+
+def _dsinhc(m, ch, sh):
+    """d/dm of sinh(r)/r at r = sqrt(m) from _exp_coeffs(m) = (ch, sh): the
+    Taylor series, which avoids the cancellation of the closed form
+    (ch - sh)/(2m), below _EXP_SERIES_CUT."""
+    dsh = (1.0 + m / 10 * (1.0 + m / 28 * (1.0 + m / 54))) / 6.0
+    big = np.abs(m) >= _EXP_SERIES_CUT
+    if big.any():
+        dsh[big] = (ch[big] - sh[big]) / (2.0 * m[big])
+    return dsh
 
 
 def _magnus_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, steps: int):
@@ -316,10 +323,11 @@ def _magnus_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, step
     w1, w2, h, _ = _gauss_samples(profile, la, lb, steps)
     c = (math.sqrt(3.0) / 12.0 * h * h * lam) * (w1 - w2)
     qbar = 0.5 * lam * (w1 + w2) - xi
-    ch, sh, dsh = _exp_coeffs(c * c + h * h * qbar)
+    m = c * c + h * h * qbar
+    ch, sh = _exp_coeffs(m)
     # d(mu^2)/dxi = -h^2 and d cosh(mu) / d(mu^2) = sinh(mu) / (2 mu)
     dch = -0.5 * h * h * sh
-    dsh = -h * h * dsh
+    dsh = -h * h * _dsinhc(m, ch, sh)
     M = np.zeros((len(c), 4, 4), dtype=ch.dtype)
     M[:, 0, 0] = M[:, 2, 2] = ch + sh * c
     M[:, 0, 1] = M[:, 2, 3] = sh * h
@@ -371,7 +379,7 @@ def _circle_values(profile: BumpProfile, lam: float, steps: int, xi0):
     w1, w2, h, _ = _gauss_samples(profile, 0.0, 1.0, steps)
     c = ((math.sqrt(3.0) / 12.0 * h * h * lam) * (w1 - w2))[:, None]
     qbar = (0.5 * lam * (w1 + w2))[:, None] - z
-    ch, sh = _exp_coeffs(c * c + h * h * qbar)[:2]
+    ch, sh = _exp_coeffs(c * c + h * h * qbar)
     # S[:, i, k] holds the entries of step i at point k; written in place,
     # which keeps the peak memory of a jet build down
     S = np.empty((4,) + ch.shape, dtype=complex)

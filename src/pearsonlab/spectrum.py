@@ -361,8 +361,8 @@ def density_of_states(
     so the total mass is exactly (eigenvalue count)/L.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not (0.0 < lo < hi):
-        raise ValueError("the interval must be inside (0, inf)")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"interval {lo} to {hi} must be a finite subinterval of the positive reals")
     bins = int(bins)
     if bins < 1:
         raise ValueError("need at least one bin")

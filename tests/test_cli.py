@@ -154,6 +154,15 @@ class TestConfigRejection:
         assert capsys.readouterr().err == "config error: interval must be inside (0, inf)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, flag", [("dos", "--interval"), ("hatn", "--window")])
+    @pytest.mark.parametrize("ends", ["0.5,inf", "nan,2", "1,nan"])
+    def test_non_finite_interval_rejected(self, kind, flag, ends, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([kind, flag, ends, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: interval must be inside (0, inf)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("ell", ["-5", "-1"])
     def test_negative_probe_ell_rejected(self, ell, tmp_path, capsys):
         cfg = tmp_path / "two.cfg"

@@ -483,12 +483,14 @@ class TestGridWalks:
         assert calls == {"_piece_maps": 9, "propagate_to": 0, "truncate": 0}
 
     def test_hat_n_search_truncates_once(self, calls):
-        # 12 trial lengths x 5 xi x 5 shifted arguments; rows and columns
-        # share one dict of walks, and kappa makes one more lookup: 6 per grid
+        # the answer 32 is settled after trials 8 to 128: trial 8 fails on
+        # its fifth xi, 16 on its first, and 32, 64 and 128 pass on all 5,
+        # so 21 grids of 5 shifted arguments; rows, columns and the kappa
+        # norm share one dict of walks (0 is a shift): 5 lookups per grid
         V = cli.canonical_potential().build()
         assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
-        assert calls.pop("lookups") == 360
-        assert calls == {"_piece_maps": 300, "propagate_to": 0, "truncate": 1}
+        assert calls.pop("lookups") == 105
+        assert calls == {"_piece_maps": 105, "propagate_to": 0, "truncate": 1}
 
     def test_cli_kernel_rows_are_the_per_pair_rows(self):
         # 0.5 + 5e-7 against 0.5 is a near-diagonal pair at L = 1e4 (the

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pearsonlab as pl
+from pearsonlab.cli import canonical_potential
 from pearsonlab.potential import (
     HatNSearchError,
     format_potential_config,
@@ -224,6 +225,51 @@ class TestEmpiricalHatN:
                 pl.zero_potential(), 0, 1e-9, (0.5, 2.0), 2.0, max_length=64.0
             )
 
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_canonical_matches_eager_search(self, ell):
+        # oracle: every trial's sup error from the public kappa_ratio, one
+        # pair at a time, then the scan over all of them; the search, which
+        # stops once its answer is settled, must return the same length
+        V = canonical_potential().build()
+        xi_grid = [0.5 + 1.5 * i / 4 for i in range(5)]
+        ab_grid = [-1.0 + 2.0 * i / 4 for i in range(5)]
+        trials = [8.0 * 2.0**k for k in range(12)]
+        errs = [
+            max(abs(pl.kappa_ratio(V, ell, xi, a, b, x) - pl.sine_kernel(xi, a, b))
+                for xi in xi_grid for a in ab_grid for b in ab_grid)
+            for x in trials
+        ]
+        for tol in (0.05, 0.2, 0.5):
+            expected = next(
+                t for i, t in enumerate(trials)
+                if all(e < tol for e, s in zip(errs[i:], trials[i:]) if s <= 4.0 * t * (1 + 1e-12))
+            )
+            assert pl.empirical_hat_N(V, ell, tol, (0.5, 2.0), 1.0, xi_points=5) == expected
+
+    def test_nan_ratio_fails_its_trial(self, monkeypatch):
+        # the seed-0 search returns 32; a NaN ratio in its trial-32 grid is
+        # not sinc-close, so that trial fails and the answer moves on
+        from pearsonlab import kernel
+
+        original = kernel._ratio_grid
+
+        def with_nan(V, xi, a_grid, b_grid, x, steps, **kwargs):
+            grid = original(V, xi, a_grid, b_grid, x, steps, **kwargs)
+            if x == 32.0:
+                grid[0][0] = math.nan
+            return grid
+
+        V = canonical_potential().build()
+        assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
+        monkeypatch.setattr(kernel, "_ratio_grid", with_nan)
+        assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 64.0
+
+    @pytest.mark.parametrize(
+        "window", [(0.5, math.inf), (math.nan, 2.0), (0.5, math.nan), (math.inf, math.inf)])
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window") as err:
+            pl.empirical_hat_N(pl.zero_potential(), 0, 0.5, window, 2.0)
+        assert "," not in str(err.value)
 
     @pytest.mark.parametrize(
         "kwargs",

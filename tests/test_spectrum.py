@@ -315,6 +315,12 @@ class TestDensityOfStates:
         for mass, free in zip(est.masses, est.free_masses):
             assert abs(mass - free) / free < 0.02
 
+    @pytest.mark.parametrize("interval", [(1.0, math.inf), (math.nan, 4.0), (1.0, math.nan)])
+    def test_non_finite_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="interval") as err:
+            pl.density_of_states(canonical_potential().build(), 100.0, interval, 3)
+        assert "," not in str(err.value)
+
 
 class TestOracleEigenvalues:
     def test_free_spectrum(self):
