@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -107,6 +107,8 @@ class ExperimentConfig:
             lo, hi = self.interval
             if not 0 < lo < hi < np.inf:
                 raise ConfigError("interval must be inside (0, inf)")
+        if self.kind == "hatn" and not 0 <= self.ab_bound < np.inf:
+            raise ConfigError("ab_bound must be non-negative and finite")
         if self.kind == "dos" and self.bins < 1:
             raise ConfigError("bins must be at least 1")
         if self.kind == "verify" and self.probe not in (*PROBES, "suite"):
@@ -322,8 +324,21 @@ def _fmt(v) -> str:
     return text
 
 
+@lru_cache(maxsize=64)
+def _template(kinds: tuple) -> str:
+    """The %-template that gives a row of fields of these types _fmt's text."""
+    specs = ("%.17g" if issubclass(k, (float, np.floating))
+             else "%d" if issubclass(k, (int, np.integer)) else "%s" for k in kinds)
+    return ",".join(specs) + "\n"
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Write rows atomically: temp file in the target directory, then rename."""
+    """Write rows atomically: temp file in the target directory, then rename.
+
+    A sweep has many rows and few tuples of field types, so each row is one
+    % with the template of its types, not one _fmt call per field. A line
+    with a field's comma or newline is formatted again by _fmt, which raises.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = path + ".tmp"
@@ -332,7 +347,10 @@ def write_csv(path: str, header: list[str], rows) -> None:
             fh.write(SCHEMA_LINE + "\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                line = _template(tuple(map(type, row))) % tuple(row)
+                if line.count(",") != len(row) - 1 or line.count("\n") != 1:
+                    line = ",".join(map(_fmt, row)) + "\n"
+                fh.write(line)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -450,7 +468,9 @@ _FLAG_HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    # every subcommand is registered, so help and errors list them all; only
+    # the named one gets its flags, whose build is a visible share of a short run
     parser = argparse.ArgumentParser(
         prog="pearsonlab",
         description="Sparse bump potentials on the half-line: kernel ratios, "
@@ -470,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for kind, (text, keys) in FLAGS.items():
         p = sub.add_parser(kind, help=text)
+        if command not in (None, kind):
+            continue
         p.add_argument("--config", help="key = value config file")
         add_flags(p, ("out", "workers", "steps_per_bump"))
         p.add_argument(
@@ -479,9 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
         add_flags(p, keys)
 
     p = sub.add_parser("reproduce", help="run the built-in desk-scale pipeline")
-    p.add_argument("--outdir", default="reproduce_out")
-    add_flags(p, ("workers", "l_grid", "steps_per_bump"))
-    p.add_argument("--seedless", action="store_true", help="reserved; runs are deterministic")
+    if command in (None, "reproduce"):
+        p.add_argument("--outdir", default="reproduce_out")
+        add_flags(p, ("workers", "l_grid", "steps_per_bump"))
+        p.add_argument("--seedless", action="store_true", help="reserved; runs are deterministic")
     return parser
 
 
@@ -494,8 +517,9 @@ def _default_workers() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in (*FLAGS, "reproduce") else None
+    args = build_parser(command).parse_args(argv)
     try:
         if args.command == "reproduce":
             return reproduce_headline(

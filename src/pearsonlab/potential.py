@@ -203,8 +203,8 @@ def empirical_hat_N(
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 < lo <= hi < math.inf:
         raise ValueError(f"window {lo} to {hi} must be a finite subinterval of the positive reals")
-    if not ab_bound >= 0.0:
-        raise ValueError("ab_bound must be non-negative")
+    if not 0.0 <= ab_bound < math.inf:
+        raise ValueError(f"ab_bound must be non-negative and finite (got {ab_bound!r})")
     if xi_points < 1 or ab_points < 1:
         raise ValueError("xi_points and ab_points must be at least 1")
     if not trial_start > 0.0:

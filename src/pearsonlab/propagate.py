@@ -282,9 +282,13 @@ def _exp_coeffs(m):
 
     Both are entire in m; small |m| takes their Taylor series. The series
     is evaluated everywhere, the closed form only where |m| >= _EXP_SERIES_CUT.
+    The series multiply by 1/k: numpy divides a complex array by k + 0j
+    with Smith's rule, exactly the product with 1/k at about six times its
+    cost, so complex values equal the quotient form m / k bit for bit
+    (real ones can differ from it by one ulp in rare cases).
     """
-    ch = 1.0 + m / 2 * (1.0 + m / 12 * (1.0 + m / 30 * (1.0 + m / 56)))
-    sh = 1.0 + m / 6 * (1.0 + m / 20 * (1.0 + m / 42 * (1.0 + m / 72)))
+    ch = 1.0 + m * (1 / 2) * (1.0 + m * (1 / 12) * (1.0 + m * (1 / 30) * (1.0 + m * (1 / 56))))
+    sh = 1.0 + m * (1 / 6) * (1.0 + m * (1 / 20) * (1.0 + m * (1 / 42) * (1.0 + m * (1 / 72))))
     big = np.abs(m) >= _EXP_SERIES_CUT
     if big.any():
         r = np.sqrt(m[big].astype(complex))

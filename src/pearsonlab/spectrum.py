@@ -360,6 +360,8 @@ def density_of_states(
     Bin counts come from differences of the phase-based counting function,
     so the total mass is exactly (eigenvalue count)/L.
     """
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"L must be positive and finite (got {L!r})")
     lo, hi = float(interval[0]), float(interval[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"interval {lo} to {hi} must be a finite subinterval of the positive reals")

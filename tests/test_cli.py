@@ -174,6 +174,14 @@ class TestConfigRejection:
         assert "config error: probe_ell must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bound", ["inf", "nan", "-1"])
+    def test_bad_ab_bound_rejected(self, bound, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        code = main(["hatn", f"--ab-bound={bound}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: ab_bound must be non-negative and finite\n"
+        assert not out.exists()
+
     def test_decreasing_l_grid_rejected(self, tmp_path):
         code = main([
             "clock", "--l-grid", "100,50", "--out", str(tmp_path / "x.csv"),
@@ -240,6 +248,58 @@ class TestSchema:
         }
         assert got == want
 
+    # one command line per subcommand, every flag given
+    ARGV = {
+        "kernel": ["kernel", "--xi-grid", "1,2", "--l-grid", "50", "--a-grid=-1,1",
+                   "--b-grid", "0", "--out", "k.csv", "--workers", "2", "--seedless"],
+        "clock": ["clock", "--config", "c.cfg", "--l-grid", "50", "--xi-star", "1.5",
+                  "--depth", "2", "--steps-per-bump", "64"],
+        "dos": ["dos", "--l-grid", "50,100", "--interval", "1,4", "--bins", "3"],
+        "verify": ["verify", "--probe", "suite", "--probe-lambda", "1e-4", "--probe-xi", "2",
+                   "--probe-m", "3", "--probe-ell", "1", "--probe-count", "8"],
+        "hatn": ["hatn", "--ell", "1", "--tolerance", "0.5", "--window", "0.5,2",
+                 "--ab-bound", "1"],
+        "reproduce": ["reproduce", "--outdir", "o", "--workers", "2", "--l-grid", "100",
+                      "--steps-per-bump", "64", "--seedless"],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ARGV))
+    def test_parser_of_one_command_reads_as_the_full_parser(self, kind):
+        from pearsonlab.cli import build_parser
+
+        argv = self.ARGV[kind]
+        assert build_parser(kind).parse_args(argv) == build_parser().parse_args(argv)
+        assert build_parser(kind).parse_args([kind]) == build_parser().parse_args([kind])
+
+    def test_run_builds_flags_of_its_command_only(self, tmp_path, monkeypatch):
+        import argparse
+
+        from pearsonlab import cli
+
+        flags = {}
+        add = argparse.ArgumentParser.add_argument
+
+        def counted(parser, *args, **kwargs):
+            if args[:1] != ("-h",):
+                flags[parser.prog] = flags.get(parser.prog, 0) + 1
+            return add(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        out = tmp_path / "k.csv"
+        assert cli.main(["kernel", "--l-grid", "50", "--out", str(out)]) == 0
+        assert flags == {"pearsonlab kernel": len(self.COMMON) + len(self.FLAGS["kernel"])}
+
+    def test_help_lists_every_subcommand(self, capsys):
+        from pearsonlab import cli
+
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        assert "{kernel,clock,dos,verify,hatn,reproduce}" in text
+        for kind, (help_text, _) in cli.FLAGS.items():
+            assert kind in text and help_text in text
+
     def test_every_config_field_is_a_key_of_its_type(self, tmp_path, monkeypatch):
         from dataclasses import fields
 
@@ -281,6 +341,36 @@ class TestFieldFormat:
 
         with pytest.raises(ValueError, match="must not contain commas or newlines"):
             _fmt(text)
+
+    # every field type a task row can hold, and some that it cannot
+    ROWS = [
+        [0.1, np.float64(-1e-300), np.float32(0.1), -0.0, math.nan, math.inf, -math.inf],
+        [1e-300, 7, np.int64(-3), True, False, np.bool_(True), "", "error: bad xi"],
+        [0.1, np.float64(-1e-300), np.float32(0.1), -0.0, math.nan, math.inf, -math.inf],
+        [np.float64(2.0), 2.0, 2, np.int32(2), np.uint64(2**64 - 1), "ok"],
+        ["kernel_ratio", 0.5, -2, "", "", "error: shifted arguments must stay in the right"],
+        [],
+        [3.5],
+        (None, 1 + 2j, "50%", "%s %d"),
+    ]
+
+    def test_rows_equal_field_by_field_text(self, tmp_path):
+        from pearsonlab.cli import _fmt, write_csv
+
+        out = tmp_path / "rows.csv"
+        write_csv(str(out), ["h1", "h2"], self.ROWS)
+        lines = [SCHEMA_LINE, "h1,h2"] + [",".join(map(_fmt, row)) for row in self.ROWS]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("text", ["a,b", "a\nb", "a\n"])
+    def test_row_with_a_separator_rejected(self, text, tmp_path):
+        from pearsonlab.cli import write_csv
+
+        out = tmp_path / "bad.csv"
+        rows = [[1.0, "ok"], [2.0, text], [3.0, "ok"]]
+        with pytest.raises(ValueError, match="must not contain commas or newlines"):
+            write_csv(str(out), ["x", "status"], rows)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorRows:

@@ -306,6 +306,13 @@ class TestEmpiricalHatN:
             pl.empirical_hat_N(pl.zero_potential(), 0, tolerance, (0.5, 2.0), ab_bound, **args)
         assert "," not in str(err.value)
 
+    @pytest.mark.parametrize("ab_bound", [math.inf, -math.inf, -1.0, math.nan])
+    def test_bad_ab_bound_named(self, ab_bound):
+        # inf used to reach sine_kernel as a NaN shift and fail there
+        with pytest.raises(ValueError, match="ab_bound") as err:
+            pl.empirical_hat_N(pl.zero_potential(), 0, 0.5, (0.5, 2.0), ab_bound)
+        assert "," not in str(err.value)
+
 
 class TestConfigRoundTrip:
     def test_list_spec_round_trip(self):

@@ -240,6 +240,37 @@ class TestBumpJet:
         assert propagate._lattice_point(below) != propagate._lattice_point(above)
         assert abs(pl.phase(V, below, 1e4) - pl.phase(V, above, 1e4)) <= 1e-12
 
+    @staticmethod
+    def _quotient_exp_coeffs(m):
+        # the series as quotients m / k: the reference for the reciprocal form
+        ch = 1.0 + m / 2 * (1.0 + m / 12 * (1.0 + m / 30 * (1.0 + m / 56)))
+        sh = 1.0 + m / 6 * (1.0 + m / 20 * (1.0 + m / 42 * (1.0 + m / 72)))
+        big = np.abs(m) >= propagate._EXP_SERIES_CUT
+        r = np.sqrt(m[big].astype(complex))
+        ch[big], sh[big] = np.cosh(r), np.sinh(r) / r
+        return ch, sh
+
+    def test_series_equal_quotient_form_on_complex_arrays(self):
+        rng = np.random.default_rng(0)
+        cut = propagate._EXP_SERIES_CUT
+        moduli = np.concatenate((
+            np.geomspace(1e-12, 10.0, 4000),
+            cut * (1.0 + np.linspace(-1e-6, 1e-6, 2001)),
+            [math.nextafter(cut, 0.0), cut, math.nextafter(cut, 1.0)],
+        ))
+        m = moduli * np.exp(2j * math.pi * rng.random(len(moduli)))
+        for got, want in zip(propagate._exp_coeffs(m), self._quotient_exp_coeffs(m)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lam", [1.0, 40.0])
+    @pytest.mark.parametrize("xi0", [0.5, 1.0, complex(1.0, 0.5)])
+    def test_jet_equals_quotient_form_jet(self, lam, xi0, monkeypatch):
+        build = propagate._bump_jet.__wrapped__  # uncached
+        profile = pl.canonical_bump()
+        got = build(profile, lam, 512, xi0)
+        monkeypatch.setattr(propagate, "_exp_coeffs", self._quotient_exp_coeffs)
+        assert np.array_equal(got, build(profile, lam, 512, xi0))
+
     def test_tail_check_raises(self):
         coefs = np.zeros((propagate._JET_POINTS, 4))
         coefs[0] = 1.0

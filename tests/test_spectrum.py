@@ -321,6 +321,11 @@ class TestDensityOfStates:
             pl.density_of_states(canonical_potential().build(), 100.0, interval, 3)
         assert "," not in str(err.value)
 
+    @pytest.mark.parametrize("L", [0.0, -3.0, math.inf, math.nan])
+    def test_bad_length_rejected(self, L):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            pl.density_of_states(pl.zero_potential(), L, (1.0, 4.0), 3)
+
 
 class TestOracleEigenvalues:
     def test_free_spectrum(self):
