@@ -28,17 +28,13 @@ from .propagate import (
     TransferMatrix,
     VariationCoeffs,
     bump_transfer,
-    dirichlet_solution,
     extended_neumann,
     free_transfer,
-    free_transfer_dxi,
     neumann_solution,
     principal_sqrt,
     propagate_to,
-    reconstruct_state,
     segments,
     transfer_to,
-    variation_coeffs,
     variation_coeffs_from_state,
 )
 from .kernel import (

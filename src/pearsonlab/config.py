@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["DEFAULTS", "Settings"]
+
 
 @dataclass(frozen=True)
 class Settings:

@@ -24,7 +24,6 @@ from .propagate import (
     _extended_walk,
     _free_maps,
     _is_full_bump,
-    _neumann_state,
     _steps_or_default,
     extended_neumann,
     neumann_solution,
@@ -220,16 +219,15 @@ def cd_quadrature(
 
 def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps: int, walks: dict):
     """S_L(xi, zeta) and its route by the rule of cd_formula. walks maps each
-    argument looked up so far to its cached walk to L (the extended walk of
-    a real one, the Neumann state of a complex one); a grid shares it."""
+    argument looked up so far to its cached extended walk to L; a grid
+    shares it."""
     if abs(xi - zeta) * L < _NEAR_DIAGONAL:
         if isinstance(xi, complex) or isinstance(zeta, complex):
             return cd_quadrature(V, xi, zeta, L, steps=steps).value, "quadrature"
         xi = zeta = 0.5 * (xi + zeta)  # the diagonal at the midpoint
     for z in (xi, zeta):
         if z not in walks:
-            walk = _neumann_state if isinstance(z, complex) else _extended_walk
-            walks[z] = walk(V, z, float(L), steps)
+            walks[z] = _extended_walk(V, z, float(L), steps)
     s1, s2 = walks[xi], walks[zeta]
     if xi == zeta:
         return _diagonal(s1), "accumulated"

@@ -16,7 +16,6 @@ __all__ = [
     "BumpProfile",
     "PearsonPotential",
     "PotentialSpec",
-    "POTENTIAL_KEYS",
     "HatNSearchError",
     "canonical_bump",
     "zero_potential",
@@ -141,22 +140,24 @@ def geometric_schedule(
 ) -> PearsonPotential:
     """Potential with centers N_1 = n1, N_{k+1} = ceil(gamma * N_k).
 
-    The center ratio then satisfies N_k / N_{k+1} <= 1/gamma.
+    The center ratio then satisfies N_k / N_{k+1} <= 1/gamma. A center
+    past the largest double raises a ValueError.
     """
-    if gamma <= 1.0:
-        raise ValueError("gamma must exceed 1")
-    if n1 < 1.0:
-        raise ValueError("the first center must be at least 1")
+    if not 1.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and exceed 1 (got {gamma!r})")
+    if not 1.0 <= n1 < math.inf:
+        raise ValueError(f"the first center must be finite and at least 1 (got {n1!r})")
     count = int(count)
     if count < 0:
         raise ValueError("count must be non-negative")
     if len(amplitudes) < count:
         raise ValueError(f"need {count} amplitudes, got {len(amplitudes)}")
-    centers = []
-    c = float(n1)
-    for _ in range(count):
-        centers.append(c)
-        c = float(math.ceil(gamma * c))
+    centers = [float(n1)][:count]
+    while len(centers) < count:
+        c = gamma * centers[-1]
+        if not math.isfinite(c):
+            raise ValueError(f"center {len(centers) + 1} of the schedule is not finite")
+        centers.append(float(math.ceil(c)))
     return PearsonPotential(
         profile or canonical_bump(),
         tuple(float(a) for a in amplitudes[:count]),
@@ -285,6 +286,8 @@ class PotentialSpec:
     def build(self) -> PearsonPotential:
         if self.profile != "canonical":
             raise ValueError(f"unknown profile {self.profile!r}")
+        if self.count < 0:
+            raise ValueError(f"count must be non-negative (got {self.count})")
         profile = canonical_bump()
         if self.amplitude_rule == "list":
             amps = self.amplitude_values

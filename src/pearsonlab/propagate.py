@@ -22,12 +22,14 @@ lattice of spacing 1/2 in Re xi and Im xi (real for real xi). Every xi
 lies within 0.354 < R of its center, aliasing adds only c_(j+N) R^N to
 c_j, and a tail check enforces that c_15 R^15 is at rounding level, so
 one polynomial evaluation gives T and dT/dxi to rounding. Partial bump
-pieces are mapped directly. Evaluated full-bump maps and walks are
-cached per xi (a real xi has one cache, the extended walk, which also
-serves neumann_solution), so a sweep that revisits the same (V, xi, x)
-propagates it once. Everything here is a pure function of immutable
-inputs; with the lattice fixed it is bitwise deterministic for a fixed
-step configuration, whatever the call order.
+pieces are mapped directly. Jets are cached per lattice cell; evaluated
+maps are not cached per xi, since one evaluation is a single small
+product. Walks have one cache, the extended walk of _extended_walk,
+which serves neumann_solution and extended_neumann for real and complex
+xi alike, so a sweep that revisits the same (V, xi, x) propagates it
+once. Everything here is a pure function of immutable inputs; with the
+lattice fixed it is bitwise deterministic for a fixed step
+configuration, whatever the call order.
 """
 from __future__ import annotations
 
@@ -49,17 +51,12 @@ __all__ = [
     "VariationCoeffs",
     "ExtendedState",
     "principal_sqrt",
-    "sinc",
-    "vercosc",
     "free_transfer",
-    "free_transfer_dxi",
     "bump_transfer",
     "transfer_to",
     "segments",
     "propagate_to",
     "neumann_solution",
-    "dirichlet_solution",
-    "variation_coeffs",
     "variation_coeffs_from_state",
     "extended_neumann",
 ]
@@ -159,10 +156,10 @@ class VariationCoeffs:
 class ExtendedState:
     """(u, u') together with the xi-derivative pair (du/dxi, du'/dxi)."""
 
-    u: float
-    du: float
-    u_xi: float
-    du_xi: float
+    u: complex | float
+    du: complex | float
+    u_xi: complex | float
+    du_xi: complex | float
     x: float
 
 
@@ -195,18 +192,6 @@ class TransferMatrix:
         e = self.entries
         adj = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) / self.det()
         return TransferMatrix(adj, self.to_x, self.from_x)
-
-    def after(self, other: "TransferMatrix") -> "TransferMatrix":
-        """Composition self o other; other acts first."""
-        if abs(self.from_x - other.to_x) > 1e-9 * max(1.0, abs(self.from_x)):
-            raise ValueError(
-                f"matrices are not contiguous: {other.to_x} then {self.from_x}"
-            )
-        return TransferMatrix(self.entries @ other.entries, other.from_x, self.to_x)
-
-    def apply(self, u, du):
-        e = self.entries
-        return (e[0, 0] * u + e[0, 1] * du, e[1, 0] * u + e[1, 1] * du)
 
 
 def _check_det(ad, bc, x0: float, x1: float) -> None:
@@ -242,11 +227,6 @@ def _free_maps(xi, x0: float, x1: float):
 def free_transfer(xi, x0: float, x1: float) -> TransferMatrix:
     """Closed-form transfer across a potential-free stretch [x0, x1]."""
     return TransferMatrix(np.reshape(_free_maps(xi, x0, x1)[0], (2, 2)), float(x0), float(x1))
-
-
-def free_transfer_dxi(xi, x0: float, x1: float) -> np.ndarray:
-    """Entrywise d/dxi of the free transfer matrix, in closed form."""
-    return np.reshape(_free_maps(xi, x0, x1)[1], (2, 2))
 
 
 # -- bump maps ---------------------------------------------------------------
@@ -431,30 +411,22 @@ def _jet_eval(coefs: np.ndarray, delta):
     """(T, dT/dxi) of a jet at xi0 + delta, as one product with the powers
     delta^j and their derivatives j delta^(j-1)."""
     p = delta ** _POWERS
-    P = np.zeros((2, _JET_POINTS), dtype=p.dtype)
-    P[0], P[1, 1:] = p, _POWERS[1:] * p[:-1]
+    P = np.empty((2, _JET_POINTS), dtype=p.dtype)
+    P[0], P[1, 0] = p, 0.0
+    np.multiply(_POWERS[1:], p[:-1], out=P[1, 1:])
     out = (P @ coefs).reshape(2, 2, 2)
-    out.setflags(write=False)
     return out[0], out[1]
 
 
-def _as_tuples(T: np.ndarray, D: np.ndarray):
-    """2x2 arrays (T, dT/dxi) as row-major 4-tuples of Python scalars."""
-    return tuple(T.ravel().tolist()), tuple(D.ravel().tolist())
-
-
-@lru_cache(maxsize=8192)
-def _bump_matrix(profile: BumpProfile, lam: float, xi, steps: int):
-    """(T, dT/dxi) as 4-tuples across a full bump from its jet; a repeated xi is a cache hit."""
-    xi0 = _lattice_point(xi)
-    return _as_tuples(*_jet_eval(_bump_jet(profile, lam, steps, xi0), xi - xi0))
-
-
 def _bump_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, steps: int):
-    """(T, dT/dxi) as 4-tuples across [la, lb] of one bump; full supports are cached."""
+    """(T, dT/dxi) as row-major 4-tuples of Python scalars across [la, lb]
+    of one bump: from the bump's jet on the full support, else directly."""
     if _is_full_bump(la, lb):
-        return _bump_matrix(profile, float(lam), xi, steps)
-    return _as_tuples(*_magnus_map(profile, lam, xi, la, lb, steps))
+        xi0 = _lattice_point(xi)
+        T, D = _jet_eval(_bump_jet(profile, float(lam), steps, xi0), xi - xi0)
+    else:
+        T, D = _magnus_map(profile, lam, xi, la, lb, steps)
+    return tuple(T.ravel().tolist()), tuple(D.ravel().tolist())
 
 
 def bump_transfer(
@@ -466,10 +438,9 @@ def bump_transfer(
     edge for -u'' + lam*W u = xi u; its columns are the Neumann-like and
     Dirichlet-like basis solutions across the bump. It is evaluated from
     the bump's xi-jet, built once per (profile, lam, steps) and lattice
-    cell, and cached per (profile, lam, xi, steps).
+    cell; the evaluation itself is not cached.
     """
-    steps = _steps_or_default(steps)
-    T = _bump_matrix(profile, float(lam), _as_scalar(xi), steps)[0]
+    T = _bump_map(profile, lam, _as_scalar(xi), 0.0, 1.0, _steps_or_default(steps))[0]
     return TransferMatrix(np.reshape(T, (2, 2)), 0.0, 1.0)
 
 
@@ -563,33 +534,16 @@ def neumann_solution(
 ) -> SolutionState:
     """Solution with u(0) = 1, u'(0) = 0 evaluated at x.
 
-    Walks are cached per (V, xi, x, steps) after normalising the key, so
-    numpy and plain scalars, and steps=None and the default count, share
-    one entry. A real xi reads its pair off the cached extended walk,
-    which folds it bit for bit as propagate_to does.
+    The pair is read off the cached extended walk, the one walk cache of
+    real and complex xi alike, which folds it bit for bit as propagate_to
+    does. The key is normalised first, so numpy and plain scalars, and
+    steps=None and the default count, share one entry.
     """
     x = float(x)
     if x < 0.0:
         raise ValueError("the solution lives on the half-line")
-    xi, steps = _as_scalar(xi), _steps_or_default(steps)
-    if isinstance(xi, complex):
-        return _neumann_state(V, xi, x, steps)
-    walk = _extended_walk(V, xi, x, steps)
+    walk = _extended_walk(V, _as_scalar(xi), x, _steps_or_default(steps))
     return SolutionState(walk.u, walk.du, x)
-
-
-@lru_cache(maxsize=4096)
-def _neumann_state(V: PearsonPotential, xi: complex, x: float, steps: int) -> SolutionState:
-    return propagate_to(V, xi, x, SolutionState(1.0, 0.0, 0.0), steps=steps)
-
-
-def dirichlet_solution(
-    V: PearsonPotential, xi, x: float, *, steps: int | None = None
-) -> SolutionState:
-    """Solution with u(0) = 0, u'(0) = 1 evaluated at x."""
-    if x < 0.0:
-        raise ValueError("the solution lives on the half-line")
-    return propagate_to(V, xi, x, SolutionState(0.0, 1.0, 0.0), steps=steps)
 
 
 def transfer_to(
@@ -624,25 +578,6 @@ def variation_coeffs_from_state(state: SolutionState, xi) -> VariationCoeffs:
     return VariationCoeffs(a1, a2, a1 / s, a2, state.x)
 
 
-def variation_coeffs(
-    V: PearsonPotential, xi, x: float, *, steps: int | None = None
-) -> VariationCoeffs:
-    """Free-basis coordinates of the Neumann solution at x."""
-    return variation_coeffs_from_state(neumann_solution(V, xi, x, steps=steps), xi)
-
-
-def reconstruct_state(coeffs: VariationCoeffs, xi) -> tuple:
-    """(u, u') back from free-basis coordinates; inverse of variation_coeffs."""
-    xi = _as_scalar(xi)
-    s = principal_sqrt(xi)
-    z = s * coeffs.x
-    c = _cos(z)
-    sn = _sin(z)
-    u = coeffs.a1 * (sn / s) + coeffs.a2 * c
-    du = coeffs.a1 * c + coeffs.a2 * (-s * sn)
-    return u, du
-
-
 # -- xi-derivative propagation ------------------------------------------------
 
 
@@ -653,8 +588,8 @@ def extended_neumann(
 
     The derivative pair v obeys v'' = (V - xi) v - u and starts at (0, 0),
     since the boundary data is xi-independent; each piece maps it by
-    (T, dT/dxi) as v -> T v + dT/dxi (u, u'). Cached per (V, xi, x, steps)
-    like neumann_solution, whose real-xi pair it is.
+    (T, dT/dxi) as v -> T v + dT/dxi (u, u'). It is the cached walk that
+    neumann_solution reads its pair from.
     """
     xi = _as_scalar(xi)
     if isinstance(xi, complex):
@@ -663,8 +598,8 @@ def extended_neumann(
 
 
 @lru_cache(maxsize=4096)
-def _extended_walk(V: PearsonPotential, xi: float, x: float, steps: int) -> ExtendedState:
-    """The one cached walk of a real argument."""
+def _extended_walk(V: PearsonPotential, xi, x: float, steps: int) -> ExtendedState:
+    """The one cached walk of an argument, real or complex, per (V, xi, x, steps)."""
     u, du, v, dv = 1.0, 0.0, 0.0, 0.0
     for (a, b, c, d), (e, f, g, h), *_ in _piece_maps(V, xi, 0.0, x, steps):
         v, dv = (a * v + b * dv) + (e * u + f * du), (c * v + d * dv) + (g * u + h * du)

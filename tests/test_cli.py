@@ -182,6 +182,21 @@ class TestConfigRejection:
         assert capsys.readouterr().err == "config error: ab_bound must be non-negative and finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys, message", [
+        ("center_gamma = inf\ncount = 3", "gamma must be finite and exceed 1 (got inf)"),
+        ("center_gamma = nan\ncount = 3", "gamma must be finite and exceed 1 (got nan)"),
+        ("count = 400", "center 309 of the schedule is not finite"),
+        ("count = -2", "count must be non-negative (got -2)"),
+    ])
+    def test_bad_geometric_schedule_rejected(self, keys, message, tmp_path, capsys):
+        cfg = tmp_path / "geo.cfg"
+        cfg.write_text(f"amplitude_rule = power\ncenter_rule = geometric\n{keys}\n")
+        out = tmp_path / "c.csv"
+        code = main(["clock", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_decreasing_l_grid_rejected(self, tmp_path):
         code = main([
             "clock", "--l-grid", "100,50", "--out", str(tmp_path / "x.csv"),

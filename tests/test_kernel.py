@@ -465,10 +465,9 @@ class TestGridWalks:
         counting(propagate, "_piece_maps")
         counting(propagate, "propagate_to")
         counting(pl.PearsonPotential, "truncate")
-        for name in ("neumann_solution", "extended_neumann", "_extended_walk", "_neumann_state"):
+        for name in ("neumann_solution", "extended_neumann", "_extended_walk"):
             counting(kernel, name, "lookups")
-        for cache in (propagate._extended_walk, propagate._neumann_state):
-            cache.cache_clear()
+        propagate._extended_walk.cache_clear()
         return calls
 
     def test_cli_kernel_task_walks_each_argument_once(self, calls):

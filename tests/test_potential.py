@@ -136,7 +136,7 @@ class TestTruncate:
         xi = 1.7
         s11 = pl.neumann_solution(V, xi, 11.0)
         s40 = pl.neumann_solution(V, xi, 40.0)
-        u, du = pl.free_transfer(xi, 11.0, 40.0).apply(s11.u, s11.du)
+        u, du = pl.free_transfer(xi, 11.0, 40.0).entries @ (s11.u, s11.du)
         assert s40.u == pytest.approx(u, rel=1e-12, abs=1e-12)
         assert s40.du == pytest.approx(du, rel=1e-12, abs=1e-12)
 
@@ -159,6 +159,26 @@ class TestGeometricSchedule:
     def test_gamma_at_most_one_rejected(self):
         with pytest.raises(ValueError):
             pl.geometric_schedule([0.5], 10.0, 1.0, 1)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and exceed 1"):
+            pl.geometric_schedule([0.5], 10.0, gamma, 1)
+
+    @pytest.mark.parametrize("n1", [0.5, math.inf, math.nan])
+    def test_bad_first_center_rejected(self, n1):
+        with pytest.raises(ValueError, match="first center must be finite and at least 1"):
+            pl.geometric_schedule([0.5], n1, 10.0, 1)
+
+    def test_center_past_the_largest_double_rejected(self):
+        # 10 * 10^k overflows at the 309th center; the last center is
+        # the 308th, so 308 bumps build and 309 do not
+        assert len(pl.geometric_schedule([0.5] * 308, 10.0, 10.0, 308).centers) == 308
+        with pytest.raises(ValueError, match="center 309 of the schedule is not finite"):
+            pl.geometric_schedule([0.5] * 400, 10.0, 10.0, 400)
+
+    def test_no_center_is_computed_for_count_zero(self):
+        assert pl.geometric_schedule([], 10.0, 10.0, 0).centers == ()
 
 
 class TestZeroAmplitude:
@@ -380,6 +400,11 @@ class TestConfigRoundTrip:
         assert pl.potential.POTENTIAL_KEYS == {f.name for f in fields(pl.PotentialSpec)}
         for f in fields(pl.PotentialSpec):
             assert type(getattr(spec, f.name)) is type(f.default), f.name
+
+    def test_negative_count_rejected(self):
+        spec = pl.PotentialSpec(amplitude_rule="power", center_rule="geometric", count=-2)
+        with pytest.raises(ValueError, match=r"count must be non-negative \(got -2\)"):
+            spec.build()
 
     def test_hyphenated_key_read_as_underscore(self):
         spec = parse_potential_config(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pearsonlab as pl
 from pearsonlab import propagate
 from pearsonlab.config import DEFAULTS, Settings
-from pearsonlab.propagate import DeterminantDriftError, _magnus_map, _neumann_state
+from pearsonlab.propagate import DeterminantDriftError, _magnus_map
 
 from util import bump_potentials, cell_edge_pairs, monolithic_rk4, one_bump, two_bump
 
@@ -46,7 +46,7 @@ class TestFreeTransfer:
         T1 = pl.free_transfer(xi, 0.0, 3.0)
         T2 = pl.free_transfer(xi, 3.0, 8.0)
         T = pl.free_transfer(xi, 0.0, 8.0)
-        assert np.allclose(T2.after(T1).entries, T.entries, atol=1e-13)
+        assert np.allclose(T2.entries @ T1.entries, T.entries, atol=1e-13)
 
     def test_complex_argument(self):
         T = pl.free_transfer(complex(1.0, 0.25), 0.0, 2.0)
@@ -300,7 +300,6 @@ class TestBumpJet:
         monkeypatch.setattr(propagate, "_circle_values", counted_circle)
         monkeypatch.setattr(propagate, "_magnus_map", counted_direct)
         propagate._bump_jet.cache_clear()
-        propagate._bump_matrix.cache_clear()
         V = canonical_potential().build()
         for L in (1e2, 1e3, 1e4):
             pl.clock_statistics(V, L, 1.0, 6)
@@ -339,13 +338,14 @@ class TestBumpSplit:
 
 def _numpy_fold(V, xi, x):
     """(T, dT/dxi) of V from 0 to x as products of 2 x 2 numpy arrays:
-    free_transfer and free_transfer_dxi on gaps, bump_transfer and the
+    free_transfer and the _free_maps derivative on gaps, bump_transfer and the
     bump jet on full supports, the direct map on partial ones."""
     T = np.eye(2, dtype=complex if isinstance(xi, complex) else float)
     D = np.zeros_like(T)
     for seg in pl.segments(V, 0.0, x):
         if seg[0] == "free":
-            P, dP = pl.free_transfer(xi, *seg[1:]).entries, pl.free_transfer_dxi(xi, *seg[1:])
+            P = pl.free_transfer(xi, *seg[1:]).entries
+            dP = np.reshape(propagate._free_maps(xi, *seg[1:])[1], (2, 2))
         else:
             _, a, b, k = seg
             c, lam = V.centers[k], V.amplitudes[k]
@@ -400,15 +400,17 @@ class TestNeumannCache:
         assert (info.hits, info.misses) == (1, 1)
         assert b == a
 
+    # real and complex arguments share the one walk cache
     @pytest.mark.parametrize("xi", [0.9, complex(0.9, 0.2)])
     def test_cached_value_is_the_propagation(self, xi):
         V = two_bump()
         ref = pl.propagate_to(V, xi, 120.0, pl.SolutionState(1.0, 0.0, 0.0))
-        _neumann_state.cache_clear()
         propagate._extended_walk.cache_clear()
         for _ in range(2):
             s = pl.neumann_solution(V, xi, 120.0)
             assert (s.u, s.du, s.x) == (ref.u, ref.du, ref.x)
+        info = propagate._extended_walk.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
         assert np.iscomplexobj(s.u) == isinstance(xi, complex)
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -1.0])
@@ -483,43 +485,38 @@ class TestNeumannSolution:
         xi = 1.3
         for x in (0.0, 5.0, 10.5, 50.0, 101.0, 150.0):
             n = pl.neumann_solution(V, xi, x)
-            d = pl.dirichlet_solution(V, xi, x)
+            d = pl.propagate_to(V, xi, x, pl.SolutionState(0.0, 1.0, 0.0))
             wronskian = n.u * d.du - n.du * d.u
             assert wronskian == pytest.approx(1.0, abs=1e-10)
+
+
+def _neumann_coeffs(V, xi, x):
+    return pl.variation_coeffs_from_state(pl.neumann_solution(V, xi, x), xi)
 
 
 class TestVariationCoeffs:
     def test_free_coeffs_are_zero_one(self):
         V0 = pl.zero_potential()
         for x in (0.5, 10.0, 333.3):
-            c = pl.variation_coeffs(V0, 1.9, x)
+            c = _neumann_coeffs(V0, 1.9, x)
             assert c.a1 == pytest.approx(0.0, abs=1e-12)
             assert c.a2 == pytest.approx(1.0, abs=1e-12)
 
     def test_tilde_normalization(self):
         V = two_bump()
         xi = 2.2
-        c = pl.variation_coeffs(V, xi, 57.0)
+        c = _neumann_coeffs(V, xi, 57.0)
         assert c.a1_tilde == pytest.approx(c.a1 / math.sqrt(xi), rel=1e-14)
         assert c.a2_tilde == c.a2
 
     def test_constant_beyond_last_kept_bump(self):
         V = two_bump().truncate(1)
         xi = 1.1
-        base = pl.variation_coeffs(V, xi, 11.0)
+        base = _neumann_coeffs(V, xi, 11.0)
         for x in (20.0, 75.0, 200.0):
-            c = pl.variation_coeffs(V, xi, x)
+            c = _neumann_coeffs(V, xi, x)
             assert c.a1 == pytest.approx(base.a1, abs=1e-10)
             assert c.a2 == pytest.approx(base.a2, abs=1e-10)
-
-    def test_reconstruction_inverts(self):
-        V = two_bump()
-        xi = 1.4
-        s = pl.neumann_solution(V, xi, 42.0)
-        c = pl.variation_coeffs_from_state(s, xi)
-        u, du = pl.reconstruct_state(c, xi)
-        assert u == pytest.approx(s.u, rel=1e-12)
-        assert du == pytest.approx(s.du, rel=1e-12)
 
     def test_free_region_constancy_within_gaps(self):
         V = two_bump()
@@ -527,7 +524,7 @@ class TestVariationCoeffs:
         for gap in [(0.0, 10.0), (11.0, 100.0), (101.0, 400.0)]:
             lo, hi = gap
             xs = np.linspace(lo + 1e-6, hi - 1e-6, 7)
-            coeffs = [pl.variation_coeffs(V, xi, float(x)) for x in xs]
+            coeffs = [_neumann_coeffs(V, xi, float(x)) for x in xs]
             a1s = [c.a1 for c in coeffs]
             a2s = [c.a2 for c in coeffs]
             drift = max(max(a1s) - min(a1s), max(a2s) - min(a2s))
