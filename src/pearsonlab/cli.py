@@ -511,9 +511,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _default_workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "")
     try:
-        return max(1, int(raw)) if raw else 1
+        workers = int(raw) if raw else 1
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1 (got {raw!r})")
+    return workers
 
 
 def main(argv=None) -> int:

@@ -98,7 +98,7 @@ class KappaRatioGap:
 
 def rho(xi: float) -> float:
     """Limiting eigenvalue density per unit length of the free operator."""
-    if not xi > 0.0:
+    if not 0.0 < xi < math.inf:
         raise ValueError("the density of states is evaluated on (0, inf)")
     return 1.0 / (2.0 * math.pi * math.sqrt(xi))
 
@@ -109,8 +109,8 @@ def sine_kernel(xi: float, a, b):
     Equals 1 at a = b (removable singularity, series evaluation near 0).
     """
     xi = float(xi)
-    if not xi > 0.0:
-        raise ValueError("sine_kernel requires xi > 0")
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"sine_kernel requires a finite xi > 0 (got {xi!r})")
     for name, shift in (("a", a), ("b", b)):
         if not cmath.isfinite(shift):
             raise ValueError(f"sine_kernel requires a finite {name} (got {shift!r})")

@@ -165,8 +165,12 @@ def geometric_schedule(
     )
 
 
-# empirical_hat_N refuses a trial grid of more lengths than this
-_MAX_TRIALS = 256
+# empirical_hat_N's trial lengths 8, 16, ..., 16384 (exact doubles), the
+# factor past a trial up to which every trial must pass, and the samples of
+# each of a and b
+_TRIALS = tuple(8.0 * 2.0**k for k in range(12))
+_HORIZON = 4.0
+_AB_POINTS = 5
 
 
 def empirical_hat_N(
@@ -177,20 +181,15 @@ def empirical_hat_N(
     ab_bound: float,
     *,
     xi_points: int = 17,
-    ab_points: int = 5,
-    trial_start: float = 8.0,
-    trial_ratio: float = 2.0,
-    horizon_factor: float = 4.0,
-    max_length: float = 16384.0,
     steps: int | None = None,
 ) -> float:
     """Smallest trial length past which the truncated kernel ratio is sinc-close.
 
-    Scans a geometric grid of trial lengths x and returns the smallest
-    one such that, at every grid point in [x, horizon_factor * x], the
-    normalized kernel ratio of the ell-bump truncation (kappa_ratio) stays
-    within `tolerance` of the sinc target for all xi in `window` (xi_points
-    samples) and all real |a|, |b| <= ab_bound (ab_points samples each).
+    Scans the trial lengths 8, 16, ..., 16384 and returns the smallest
+    one x such that, at every trial length in [x, 4x], the normalized
+    kernel ratio of the ell-bump truncation (kappa_ratio) stays within
+    `tolerance` of the sinc target for all xi in `window` (xi_points
+    samples) and all real |a|, |b| <= ab_bound (5 samples each).
     The potential is truncated once. Trials are evaluated in increasing
     order and only as far as the answer needs: each is a pass/fail check
     that stops at the first ratio outside tolerance (a NaN ratio fails),
@@ -206,32 +205,11 @@ def empirical_hat_N(
         raise ValueError(f"window {lo} to {hi} must be a finite subinterval of the positive reals")
     if not 0.0 <= ab_bound < math.inf:
         raise ValueError(f"ab_bound must be non-negative and finite (got {ab_bound!r})")
-    if xi_points < 1 or ab_points < 1:
-        raise ValueError("xi_points and ab_points must be at least 1")
-    if not trial_start > 0.0:
-        raise ValueError("trial_start must be positive")
-    if not trial_ratio > 1.0:
-        raise ValueError("trial_ratio must exceed 1")
-    if not 1.0 <= horizon_factor < math.inf:
-        raise ValueError("horizon_factor must be finite and at least 1")
-    if not 0.0 < max_length < math.inf:
-        raise ValueError("max_length must be finite and positive")
-    if max_length > trial_start and math.log(max_length / trial_start) > _MAX_TRIALS * math.log(trial_ratio):
-        raise ValueError(f"the trial grid from trial_start to max_length exceeds {_MAX_TRIALS} lengths")
+    if xi_points < 1:
+        raise ValueError("xi_points must be at least 1")
 
     xi_grid = [lo + (hi - lo) * i / (xi_points - 1) for i in range(xi_points)] if xi_points > 1 else [lo]
-    ab_grid = (
-        [-ab_bound + 2.0 * ab_bound * i / (ab_points - 1) for i in range(ab_points)]
-        if ab_points > 1
-        else [0.0]
-    )
-
-    trials = []
-    x = float(trial_start)
-    while x <= max_length * (1.0 + 1e-12):
-        trials.append(x)
-        x *= trial_ratio
-
+    ab_grid = [-ab_bound + 2.0 * ab_bound * i / (_AB_POINTS - 1) for i in range(_AB_POINTS)]
     Vt = V.truncate(ell)
     targets = [[sine_kernel(xi, a, b) for a in ab_grid for b in ab_grid] for xi in xi_grid]
 
@@ -243,19 +221,18 @@ def empirical_hat_N(
                 _ratio_grid(Vt, xi, ab_grid, ab_grid, length, steps, kappa=True)), target)
         )
 
-    passed = []  # pass/fail of trials[0], trials[1], ...; grows on demand
+    passed = []  # pass/fail of _TRIALS[0], _TRIALS[1], ...; grows on demand
 
     def trial_passes(j: int) -> bool:
         while len(passed) <= j:
-            passed.append(passes(trials[len(passed)]))
+            passed.append(passes(_TRIALS[len(passed)]))
         return passed[j]
 
-    for i, t in enumerate(trials):
-        end = horizon_factor * t * (1.0 + 1e-12)
-        if all(trial_passes(j) for j in range(i, len(trials)) if trials[j] <= end):
+    for i, t in enumerate(_TRIALS):
+        if all(trial_passes(j) for j in range(i, len(_TRIALS)) if _TRIALS[j] <= _HORIZON * t):
             return t
     raise HatNSearchError(
-        f"no trial length up to {max_length} kept the kernel ratio within "
+        f"no trial length up to {_TRIALS[-1]} kept the kernel ratio within "
         f"{tolerance} of the sinc target on the requested grids"
     )
 
@@ -348,11 +325,15 @@ def replace_fields(obj, mapping: dict[str, str]):
 def potential_spec_from_mapping(mapping: dict[str, str]) -> PotentialSpec:
     """Build a PotentialSpec from already-parsed key/value pairs.
 
-    Without a count key, count is the number of amplitude values.
+    Without a count key, count is the number of amplitude values; under
+    the list rule a count key must equal it.
     """
     spec = replace_fields(PotentialSpec(), mapping)
     if "count" not in mapping:
         spec = replace(spec, count=len(spec.amplitude_values))
+    elif spec.amplitude_rule == "list" and spec.count != len(spec.amplitude_values):
+        raise ValueError(
+            f"count {spec.count} differs from the {len(spec.amplitude_values)} amplitude_values")
     spec.build()  # validate eagerly
     return spec
 

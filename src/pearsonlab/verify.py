@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .potential import PearsonPotential
+from .potential import PearsonPotential, canonical_bump
 from .propagate import free_transfer, neumann_solution, transfer_to
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _VERDICTS = ("pass", "fail", "recorded")
+
+_XI_POINTS = 17  # xi samples in [1/m, m] of the strip probes
 
 
 @dataclass(frozen=True)
@@ -58,24 +60,15 @@ def _norm2(entries: np.ndarray) -> float:
     return float(np.linalg.norm(entries, 2))
 
 
-def transfer_norm_sup(
-    m: float,
-    x_grid: Sequence[float],
-    t_grid: Sequence[float],
-    *,
-    xi_points: int = 17,
-) -> float:
+def transfer_norm_sup(m: float, x_grid: Sequence[float], t_grid: Sequence[float]) -> float:
     """Sup of the free transfer norm and its inverse over a strip grid.
 
-    Scans xi in [1/m, m] (geometric grid), x in x_grid and |t| <= 1 in
-    t_grid, evaluating T(xi + i t/x) from 0 to x.
+    Scans xi in [1/m, m] (17-point geometric grid), x in x_grid and
+    |t| <= 1 in t_grid, evaluating T(xi + i t/x) from 0 to x.
     """
     if m < 1:
         raise ValueError("the interval parameter m must be at least 1")
-    if m == 1:
-        xi_grid = [1.0]
-    else:
-        xi_grid = list(np.geomspace(1.0 / m, m, xi_points))
+    xi_grid = [1.0] if m == 1 else list(np.geomspace(1.0 / m, m, _XI_POINTS))
     worst = 0.0
     for t in t_grid:
         if abs(t) > 1.0:
@@ -88,18 +81,12 @@ def transfer_norm_sup(
     return worst
 
 
-def probe_transfer_bound(
-    m: int,
-    x_grid: Sequence[float],
-    t_grid: Sequence[float],
-    *,
-    xi_points: int = 17,
-) -> BoundProbe:
+def probe_transfer_bound(m: int, x_grid: Sequence[float], t_grid: Sequence[float]) -> BoundProbe:
     """Empirical strip constant M_m for the free transfer matrix.
 
     No closed-form reference exists, so the verdict is "recorded".
     """
-    measured = transfer_norm_sup(m, x_grid, t_grid, xi_points=xi_points)
+    measured = transfer_norm_sup(m, x_grid, t_grid)
     return BoundProbe(
         lemma_id="transfer_bound",
         parameters={
@@ -108,7 +95,7 @@ def probe_transfer_bound(
             "x_max": float(max(x_grid)),
             "x_points": len(x_grid),
             "t_points": len(t_grid),
-            "xi_points": xi_points,
+            "xi_points": _XI_POINTS,
         },
         measured=float(measured),
         reference=None,
@@ -116,56 +103,47 @@ def probe_transfer_bound(
     )
 
 
-def empirical_m_tilde(
-    m: int,
-    x_grid: Sequence[float] | None = None,
-    t_grid: Sequence[float] | None = None,
-) -> float:
-    """sqrt(m) times the empirical strip constant M_m."""
-    if x_grid is None:
-        x_grid = list(np.geomspace(0.5, 200.0, 13))
-    if t_grid is None:
-        t_grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    return math.sqrt(m) * transfer_norm_sup(m, x_grid, t_grid)
+def empirical_m_tilde(m: int) -> float:
+    """sqrt(m) times the empirical strip constant M_m.
+
+    M_m is measured on the strip grid x = geomspace(0.5, 200, 13),
+    t = -1, -0.5, 0, 0.5, 1.
+    """
+    x_grid = np.geomspace(0.5, 200.0, 13)
+    return math.sqrt(m) * transfer_norm_sup(m, x_grid, (-1.0, -0.5, 0.0, 0.5, 1.0))
 
 
-def _one_bump_difference(profile, lam, xi, x, steps):
+# the lengths x at which probe_one_bump compares the free and one-bump maps
+_ONE_BUMP_X = (0.25, 0.5, 1.0, 2.0, 5.0)
+
+
+def _one_bump_difference(lam, xi, x, steps):
     A = free_transfer(xi, 0.0, x).entries
-    B = transfer_to(PearsonPotential(profile, (lam,), (0.0,)), xi, x, steps=steps).entries
+    B = transfer_to(PearsonPotential(canonical_bump(), (lam,), (0.0,)), xi, x, steps=steps).entries
     return _norm2(A - B)
 
 
-def probe_one_bump(
-    lam: float,
-    xi: float,
-    *,
-    profile=None,
-    x_grid: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 5.0),
-    steps: int | None = None,
-) -> BoundProbe:
+def probe_one_bump(lam: float, xi: float, *, steps: int | None = None) -> BoundProbe:
     """Linearity in lam of the one-bump transfer perturbation.
 
-    Measures sup_x ||A(x) - B(x)|| / |lam| (A free, B one bump of
-    amplitude lam) and repeats at lam/10 and lam/100; the verdict is
-    "pass" when the three constants agree within 20 percent.
+    Measures sup_x ||A(x) - B(x)|| / |lam| over x in 0.25, 0.5, 1, 2, 5
+    (A free, B one canonical bump of amplitude lam) and repeats at lam/10
+    and lam/100; the verdict is "pass" when the three constants agree
+    within 20 percent.
     """
     if lam == 0.0:
         raise ValueError("the one-bump probe needs a nonzero amplitude")
-    from .potential import canonical_bump
-
-    profile = profile or canonical_bump()
-    constants = []
-    for factor in (1.0, 0.1, 0.01):
-        a = lam * factor
-        c = max(_one_bump_difference(profile, a, xi, x, steps) for x in x_grid) / abs(a)
-        constants.append(c)
+    constants = [
+        max(_one_bump_difference(lam * f, xi, x, steps) for x in _ONE_BUMP_X) / abs(lam * f)
+        for f in (1.0, 0.1, 0.01)
+    ]
     spread = max(constants) / min(constants)
     return BoundProbe(
         lemma_id="one_bump_linearity",
         parameters={
             "lam": float(lam),
             "xi": float(xi),
-            "x_grid": tuple(float(x) for x in x_grid),
+            "x_grid": _ONE_BUMP_X,
             "constant_lam": constants[0],
             "constant_lam_over_10": constants[1],
             "constant_lam_over_100": constants[2],
@@ -254,39 +232,30 @@ def probe_truncation_step(
 
 
 def first_half_comparison_ell(
-    V: PearsonPotential,
-    xi: float,
-    *,
-    x_points: int = 5,
-    steps: int | None = None,
+    V: PearsonPotential, xi: float, *, steps: int | None = None
 ) -> int | None:
     """Smallest ell whose consecutive truncations keep the norm ratio >= 1/2.
 
-    Scans every available ell; returns None when no level qualifies.
+    Scans every available ell at 5 points from bump ell to the next (or
+    10 past the last); returns None when no level qualifies.
     """
     for ell in range(V.bump_count):
         lo_edge = V.centers[ell]
         hi_edge = V.centers[ell + 1] if ell + 1 < V.bump_count else lo_edge + 10.0
-        grid = list(np.linspace(lo_edge, hi_edge, x_points))
+        grid = list(np.linspace(lo_edge, hi_edge, 5))
         if _compare_truncations(V, ell, xi, grid, steps)[1] >= 0.5:
             return ell
     return None
 
 
-def staircase_m(
-    lambda_seq: Sequence[float],
-    *,
-    m_max: int = 4,
-    x_grid: Sequence[float] | None = None,
-    t_grid: Sequence[float] | None = None,
-) -> list[int]:
+def staircase_m(lambda_seq: Sequence[float], *, m_max: int = 4) -> list[int]:
     """Nondecreasing interval indices m_n with |lam_n| * m_tilde(m_n)^6 <= 1/m_n.
 
     Greedy staircase: each m_n is the largest feasible index not below its
     predecessor, where feasibility means |lam_n| <= 1/(m * m_tilde(m)^6)
     with the empirical strip constants.
     """
-    tildes = {m: empirical_m_tilde(m, x_grid, t_grid) for m in range(1, m_max + 1)}
+    tildes = {m: empirical_m_tilde(m) for m in range(1, m_max + 1)}
     out: list[int] = []
     prev = 1
     for lam in lambda_seq:
@@ -300,13 +269,7 @@ def staircase_m(
     return out
 
 
-def probe_kappa_schedule(
-    lambda_seq: Sequence[float],
-    m_seq: Sequence[int],
-    *,
-    x_grid: Sequence[float] | None = None,
-    t_grid: Sequence[float] | None = None,
-) -> BoundProbe:
+def probe_kappa_schedule(lambda_seq: Sequence[float], m_seq: Sequence[int]) -> BoundProbe:
     """Decay of |lam_n| * m_tilde(m_n)^6 along the amplitude schedule.
 
     measured is the largest product over the supplied range (pass callers
@@ -322,7 +285,7 @@ def probe_kappa_schedule(
     for lam, m in zip(lambda_seq, m_seq):
         m = int(m)
         if m not in tildes:
-            tildes[m] = empirical_m_tilde(m, x_grid, t_grid)
+            tildes[m] = empirical_m_tilde(m)
         products.append(abs(lam) * tildes[m] ** 6)
     decreasing = all(
         b <= a * (1.0 + 1e-12) for a, b in zip(products, products[1:])

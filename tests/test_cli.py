@@ -197,6 +197,16 @@ class TestConfigRejection:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    def test_list_count_mismatch_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "list.cfg"
+        cfg.write_text("amplitude_values = 0.5, 0.25\ncenter_values = 10, 100\ncount = 5\n")
+        out = tmp_path / "k.csv"
+        code = main(["kernel", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: count 5 differs from the 2 amplitude_values\n")
+        assert not out.exists()
+
     def test_decreasing_l_grid_rejected(self, tmp_path):
         code = main([
             "clock", "--l-grid", "100,50", "--out", str(tmp_path / "x.csv"),
@@ -564,6 +574,50 @@ class TestWorkerEnvVar:
         out = tmp_path / "c.csv"
         assert main(["clock", "--l-grid", "50", "--depth", "1", "--out", str(out)]) == 0
         assert seen["workers"] == 2
+
+    @pytest.mark.parametrize("command", [["clock", "--l-grid", "50", "--depth", "1"],
+                                         ["reproduce", "--l-grid", "50"]],
+                             ids=["clock", "reproduce"])
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+    def test_bad_env_var_rejected(self, command, raw, tmp_path, monkeypatch, capsys):
+        # these used to be read as one worker without a word
+        from pearsonlab import cli
+
+        monkeypatch.setenv(cli.WORKERS_ENV, raw)
+        out = tmp_path / "out"
+        flag = "--outdir" if command[0] == "reproduce" else "--out"
+        assert main([*command, flag, str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: PEARSONLAB_WORKERS must be an integer >= 1 (got {raw!r})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["", None])
+    def test_unset_or_empty_env_var_means_one_worker(self, raw, tmp_path, monkeypatch):
+        from pearsonlab import cli
+
+        if raw is None:
+            monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.WORKERS_ENV, raw)
+        seen = {}
+        real = cli._execute
+
+        def spy(tasks, workers):
+            seen["workers"] = workers
+            return real(tasks, 1)
+
+        monkeypatch.setattr(cli, "_execute", spy)
+        out = tmp_path / "c.csv"
+        assert main(["clock", "--l-grid", "50", "--depth", "1", "--out", str(out)]) == 0
+        assert seen["workers"] == 1
+
+    def test_flag_overrides_bad_env_var(self, tmp_path, monkeypatch):
+        from pearsonlab import cli
+
+        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+        out = tmp_path / "c.csv"
+        assert main(["clock", "--l-grid", "50", "--depth", "1", "--workers", "1",
+                     "--out", str(out)]) == 0
 
 
 class TestReproduce:

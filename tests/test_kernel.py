@@ -39,6 +39,13 @@ class TestSineKernel:
         with pytest.raises(ValueError, match="evaluated on"):
             pl.rho(math.nan)
 
+    def test_infinite_energy_rejected(self):
+        # rho(inf) used to return 0.0 and sine_kernel(inf, a, b) 1.0
+        with pytest.raises(ValueError, match="finite xi > 0"):
+            pl.sine_kernel(math.inf, 0.0, 1.0)
+        with pytest.raises(ValueError, match="evaluated on"):
+            pl.rho(math.inf)
+
     @pytest.mark.parametrize("name, a, b", [("a", math.inf, 0.0), ("b", 0.0, math.nan),
                                             ("b", 0.0, complex(1.0, math.inf))])
     def test_non_finite_shift_rejected(self, name, a, b):
