@@ -412,9 +412,15 @@ def reproduce_headline(
     kernel = ExperimentConfig(
         "kernel", xi_grid=xi_list, l_grid=l_grid, a_grid=ab, b_grid=ab, steps_per_bump=steps
     )
-    results = _execute(_tasks(kernel, V), workers)
+    clock = ExperimentConfig("clock", l_grid=l_grid, xi_star=1.0, depth=3, steps_per_bump=steps)
+    dos = ExperimentConfig("dos", l_grid=l_grid, interval=(1.0, 4.0), bins=12,
+                           steps_per_bump=steps)
+    # one sweep, so one process pool, over the tasks of all three experiments
+    groups = [_tasks(cfg, V) for cfg in (kernel, clock, dos)]
+    results = _execute([task for group in groups for task in group], workers)
+    k, c = len(groups[0]), len(groups[0]) + len(groups[1])
     kernel_rows = []
-    for (L, xi), chunk in zip([(L, xi) for L in l_grid for xi in xi_list], results):
+    for (L, xi), chunk in zip([(L, xi) for L in l_grid for xi in xi_list], results[:k]):
         errs = [row[8] for row in chunk if row[9] == "ok"]
         status = "ok" if len(errs) == len(chunk) else "error: some pairs failed"
         kernel_rows.append([L, xi, max(errs) if errs else "", status])
@@ -424,10 +430,8 @@ def reproduce_headline(
         kernel_rows,
     )
 
-    clock = ExperimentConfig("clock", l_grid=l_grid, xi_star=1.0, depth=3, steps_per_bump=steps)
-    results = _execute(_tasks(clock, V), workers)
     clock_rows = []
-    for L, chunk in zip(l_grid, results):
+    for L, chunk in zip(l_grid, results[k:c]):
         devs = [row[5] for row in chunk if row[6] == "ok"]
         status = "ok" if devs and len(devs) == len(chunk) else "error: window failed"
         clock_rows.append([L, clock.xi_star, clock.depth, max(devs) if devs else "", status])
@@ -437,10 +441,7 @@ def reproduce_headline(
         clock_rows,
     )
 
-    dos = ExperimentConfig("dos", l_grid=l_grid, interval=(1.0, 4.0), bins=12,
-                           steps_per_bump=steps)
-    results = _execute(_tasks(dos, V), workers)
-    dos_rows = [row for chunk in results for row in chunk]
+    dos_rows = [row for chunk in results[c:] for row in chunk]
     write_csv(os.path.join(outdir, "dos_comparison.csv"), HEADERS["dos"], dos_rows)
 
     bad = [r for r in kernel_rows + clock_rows + dos_rows if str(r[-1]).startswith("error")]

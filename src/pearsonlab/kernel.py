@@ -4,10 +4,14 @@ The kernel S_L(xi, zeta) = int_0^L u(xi, r) u(zeta, r) dr is computed by
 three mutually checking routes: a running integral carried through the
 propagation ("quadrature"), the boundary formula for distinct arguments
 ("cd_formula"), and the diagonal formula through the xi-derivative pair
-("accumulated"). The normalized ratios are evaluated on grids of shifts
-(_ratio_grid), which look up the walk of each distinct shifted argument
-once; each CLI kernel task and each (xi, x) of empirical_hat_N is one
-grid, and the one-pair functions are the 1 x 1 case.
+("accumulated"). _kernel_entry picks the route of every value the module
+returns, from cached walks: arguments closer than 1e-6 / L, real or
+complex, take the diagonal at their midpoint; cd_quadrature, the
+reference, runs only when a caller asks for it. The normalized ratios
+are evaluated on grids of shifts (_ratio_grid), which look up the walk
+of each distinct shifted argument once; each CLI kernel task and each
+(xi, x) of empirical_hat_N is one grid, and the one-pair functions are
+the 1 x 1 case.
 """
 from __future__ import annotations
 
@@ -25,8 +29,6 @@ from .propagate import (
     _free_maps,
     _is_full_bump,
     _steps_or_default,
-    extended_neumann,
-    neumann_solution,
     principal_sqrt,
     segments,
     sinc,
@@ -195,9 +197,9 @@ def cd_quadrature(
     for seg in segments(V, 0.0, L):
         if seg[0] == "free":
             _, a, b = seg
-            acc = acc + _gap_overlap(u1, d1, w1, u2, d2, w2, b - a)
             (p11, p12, p21, p22), _ = _free_maps(xi, a, b)
             (q11, q12, q21, q22), _ = _free_maps(zeta, a, b)
+            acc = acc + _gap_overlap(u1, d1, w1, u2, d2, w2, b - a)
             u1, d1, u2, d2 = p11 * u1 + p12 * d1, p21 * u1 + p22 * d1, q11 * u2 + q12 * d2, q21 * u2 + q22 * d2
         else:
             _, a, b, k = seg
@@ -214,23 +216,26 @@ def cd_quadrature(
     return KernelEvaluation(xi, zeta, float(L), value, "quadrature")
 
 
-# -- route 2: boundary formula -------------------------------------------------
+# -- routes 2 and 3: boundary data of the cached walks --------------------------
+
+
+def _walk(V: PearsonPotential, z, L: float, steps: int, walks: dict):
+    """z's cached extended walk to L. walks maps each argument looked up so
+    far to its walk; a grid shares it, so each argument is looked up once."""
+    if z not in walks:
+        walks[z] = _extended_walk(V, z, float(L), steps)
+    return walks[z]
 
 
 def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps: int, walks: dict):
-    """S_L(xi, zeta) and its route by the rule of cd_formula. walks maps each
-    argument looked up so far to its cached extended walk to L; a grid
-    shares it."""
+    """S_L(xi, zeta) and its route, the one place a route is chosen: arguments
+    closer than 1e-6 / L, real or complex, take the diagonal formula at their
+    midpoint ("accumulated"), all others the boundary formula ("cd_formula").
+    It never calls cd_quadrature, the reference."""
     if abs(xi - zeta) * L < _NEAR_DIAGONAL:
-        if isinstance(xi, complex) or isinstance(zeta, complex):
-            return cd_quadrature(V, xi, zeta, L, steps=steps).value, "quadrature"
-        xi = zeta = 0.5 * (xi + zeta)  # the diagonal at the midpoint
-    for z in (xi, zeta):
-        if z not in walks:
-            walks[z] = _extended_walk(V, z, float(L), steps)
-    s1, s2 = walks[xi], walks[zeta]
-    if xi == zeta:
-        return _diagonal(s1), "accumulated"
+        s = _walk(V, _as_scalar(0.5 * (xi + zeta)), L, steps, walks)
+        return s.du * s.u_xi - s.du_xi * s.u, "accumulated"
+    s1, s2 = _walk(V, xi, L, steps, walks), _walk(V, zeta, L, steps, walks)
     return (s1.u * s2.du - s2.u * s1.du) / (xi - zeta), "cd_formula"
 
 
@@ -239,10 +244,9 @@ def cd_formula(
 ) -> KernelEvaluation:
     """Kernel from boundary data, (u(xi)u'(zeta) - u(zeta)u'(xi))/(xi - zeta).
 
-    Arguments closer than 1e-6 / L reroute: real pairs go through the
-    diagonal route at the midpoint (the returned method flags the switch
-    as "accumulated"), complex pairs through the running integral
-    ("quadrature").
+    Arguments closer than 1e-6 / L, real or complex, take the diagonal
+    route at their midpoint, and the returned method flags the switch as
+    "accumulated". cd_quadrature is never called on the caller's behalf.
     """
     if not L > 0.0:
         raise ValueError("the kernel needs L > 0")
@@ -250,13 +254,6 @@ def cd_formula(
     zeta = _as_scalar(zeta)
     value, method = _kernel_entry(V, xi, zeta, L, _steps_or_default(steps), {})
     return KernelEvaluation(xi, zeta, float(L), value, method)
-
-
-# -- route 3: diagonal via the xi-derivative pair ------------------------------
-
-
-def _diagonal(ext) -> float:
-    return float(ext.du * ext.u_xi - ext.du_xi * ext.u)
 
 
 def cd_diagonal(
@@ -268,8 +265,8 @@ def cd_diagonal(
     xi = _as_scalar(xi)
     if isinstance(xi, complex):
         raise ValueError("the diagonal route is defined for real xi only")
-    value = _diagonal(extended_neumann(V, xi, L, steps=steps))
-    return KernelEvaluation(xi, xi, float(L), value, "accumulated")
+    value, method = _kernel_entry(V, xi, xi, L, _steps_or_default(steps), {})
+    return KernelEvaluation(xi, xi, float(L), value, method)
 
 
 # -- normalized ratios ---------------------------------------------------------
@@ -291,7 +288,7 @@ def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps,
     norm is S_x(xi, xi), or x * kappa at (xi, x) when kappa is set. The
     entries and the norm share one lookup of each distinct argument's
     cached walk, so S_x(xi, xi), kappa (when 0 is a shift) and an exactly
-    diagonal real entry read the same walk.
+    diagonal entry read the same walk.
     Entries equal the per-pair cd_formula values over the norm bit for
     bit. The first failure raises.
     """
@@ -301,7 +298,7 @@ def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps,
     alphas, betas = _shifted(xi, a_grid, b_grid, x)
     steps, walks = _steps_or_default(steps), {}
     nums = [[_kernel_entry(V, al, be, x, steps, walks)[0] for be in betas] for al in alphas]
-    den = (x * _kappa_value(V, xi, x, steps, walks.get(xi)) if kappa
+    den = (x * _kappa_value(V, xi, x, steps, walks) if kappa
            else _kernel_entry(V, xi, xi, x, steps, walks)[0])
     return [[num / den for num in row] for row in nums]
 
@@ -319,13 +316,12 @@ def kernel_ratio(
     return _ratio_grid(V, xi, (a,), (b,), L, steps)[0][0]
 
 
-def _kappa_value(V: PearsonPotential, xi: float, x: float, steps, walk=None) -> float:
-    """(a1_tilde^2 + a2_tilde^2)/2 of the Neumann pair of V at (xi, x); walk,
-    if given, is xi's cached walk to x, which holds that pair."""
+def _kappa_value(V: PearsonPotential, xi: float, x: float, steps: int, walks: dict) -> float:
+    """(a1_tilde^2 + a2_tilde^2)/2 of the Neumann pair of V at (xi, x), read
+    off xi's cached walk to x in walks."""
     if not xi > 0.0:
         raise ValueError("kappa requires xi > 0")
-    state = neumann_solution(V, xi, x, steps=steps) if walk is None else walk
-    coeffs = variation_coeffs_from_state(state, xi)
+    coeffs = variation_coeffs_from_state(_walk(V, xi, x, steps, walks), xi)
     return float(0.5 * (coeffs.a1_tilde**2 + coeffs.a2_tilde**2))
 
 
@@ -337,7 +333,7 @@ def kappa(
     Constant in x beyond the last kept bump; always strictly positive.
     """
     xi = float(xi)
-    value = _kappa_value(V.truncate(ell), xi, x, steps)
+    value = _kappa_value(V.truncate(ell), xi, x, _steps_or_default(steps), {})
     return Kappa(int(ell), xi, float(x), value)
 
 
@@ -372,11 +368,11 @@ def kappa_ratio_gap(
     xi = float(xi)
     (alpha,), (beta,) = _shifted(xi, (a,), (b,), x)
 
-    V_lo, V_hi = V.truncate(ell), V.truncate(ell + 1)
-    s_lo = cd_formula(V_lo, alpha, beta, x, steps=steps).value
-    s_hi = cd_formula(V_hi, alpha, beta, x, steps=steps).value
-    k_lo = _kappa_value(V_lo, xi, x, steps)
-    k_hi = _kappa_value(V_hi, xi, x, steps)
+    steps = _steps_or_default(steps)
+    (s_lo, k_lo), (s_hi, k_hi) = (
+        (_kernel_entry(W, alpha, beta, x, steps, walks)[0], _kappa_value(W, xi, x, steps, walks))
+        for W, walks in ((V.truncate(ell), {}), (V.truncate(ell + 1), {}))
+    )
 
     r_lo = s_lo / (x * k_lo)
     r_hi = s_hi / (x * k_hi)

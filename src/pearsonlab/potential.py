@@ -258,11 +258,14 @@ class PotentialSpec:
     center_values: tuple[float, ...] = ()  # list rule
     center_n1: float = 10.0  # geometric rule
     center_gamma: float = 10.0  # geometric rule
-    count: int = 0  # bump count for rule-based specs
+    count: int = 0  # bump count; under the list rule, len(amplitude_values)
 
     def build(self) -> PearsonPotential:
         if self.profile != "canonical":
             raise ValueError(f"unknown profile {self.profile!r}")
+        if self.amplitude_rule == "list" and self.count != len(self.amplitude_values):
+            raise ValueError(
+                f"count {self.count} differs from the {len(self.amplitude_values)} amplitude_values")
         if self.count < 0:
             raise ValueError(f"count must be non-negative (got {self.count})")
         profile = canonical_bump()
@@ -325,15 +328,11 @@ def replace_fields(obj, mapping: dict[str, str]):
 def potential_spec_from_mapping(mapping: dict[str, str]) -> PotentialSpec:
     """Build a PotentialSpec from already-parsed key/value pairs.
 
-    Without a count key, count is the number of amplitude values; under
-    the list rule a count key must equal it.
+    Without a count key, count is the number of amplitude values.
     """
     spec = replace_fields(PotentialSpec(), mapping)
     if "count" not in mapping:
         spec = replace(spec, count=len(spec.amplitude_values))
-    elif spec.amplitude_rule == "list" and spec.count != len(spec.amplitude_values):
-        raise ValueError(
-            f"count {spec.count} differs from the {len(spec.amplitude_values)} amplitude_values")
     spec.build()  # validate eagerly
     return spec
 

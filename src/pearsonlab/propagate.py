@@ -207,7 +207,9 @@ def _check_det(ad, bc, x0: float, x1: float) -> None:
 
 def _free_maps(xi, x0: float, x1: float):
     """(T, dT/dxi) across a potential-free stretch [x0, x1], in closed form,
-    each as a row-major 4-tuple of scalars; T passes the determinant check."""
+    each as a row-major 4-tuple of scalars; T passes the determinant check.
+    Entries of complex xi grow like exp(|Im sqrt(xi)| (x1 - x0)); where they
+    or their products overflow, ValueError names xi and the stretch."""
     x0, x1 = float(x0), float(x1)
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise ValueError(f"free transfer endpoints must be finite (got {x0!r} and {x1!r})")
@@ -216,10 +218,16 @@ def _free_maps(xi, x0: float, x1: float):
     xi = _as_scalar(xi)
     d = x1 - x0
     z = principal_sqrt(xi) * d
-    c = _cos(z)
-    sc = sinc(z)
-    t12, t21 = d * sc, -xi * d * sc
-    _check_det(c * c, t12 * t21, x0, x1)
+    try:
+        c, sc = _cos(z), sinc(z)
+        t12, t21 = d * sc, -xi * d * sc
+        ad, bc = c * c, t12 * t21
+        if not (cmath.isfinite(ad) and cmath.isfinite(bc)):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(
+            f"the free transfer at xi = {xi!r} overflows across [{x0!r}, {x1!r}]") from None
+    _check_det(ad, bc, x0, x1)
     d11 = -0.5 * d * d * sc
     return (c, t12, t21, c), (d11, 0.5 * d * d * d * _gcub(z, c, sc), -0.5 * d * (sc + c), d11)
 

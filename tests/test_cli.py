@@ -621,6 +621,15 @@ class TestWorkerEnvVar:
 
 
 class TestReproduce:
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        outs = {}
+        for workers in ("1", "2"):
+            outdir = tmp_path / f"w{workers}"
+            assert main(["reproduce", "--outdir", str(outdir), "--l-grid", "50,100",
+                         "--workers", workers]) == 0
+            outs[workers] = {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
+        assert len(outs["1"]) == 3 and outs["1"] == outs["2"]
+
     def test_emits_three_csv_files(self, tmp_path):
         outdir = tmp_path / "repro"
         code = main(["reproduce", "--outdir", str(outdir), "--l-grid", "50,100"])

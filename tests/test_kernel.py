@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import pearsonlab as pl
 from pearsonlab import cli, kernel, propagate
 
-from util import bump_potentials, cell_edge_pairs, free_kernel, free_kernel_ratio, sinc, two_bump
+from util import (
+    bump_potentials, cell_edge_pairs, free_kernel, free_kernel_ratio, one_bump, sinc, two_bump,
+)
 
 
 class TestSineKernel:
@@ -122,9 +124,15 @@ class TestFormulaRoute:
         direct = pl.cd_diagonal(two_bump(), 1.0, 50.0)
         assert ev.value == pytest.approx(direct.value, rel=1e-9)
 
-    def test_near_diagonal_complex_reroutes_to_quadrature(self):
-        ev = pl.cd_formula(two_bump(), 1.0 + 1e-12j, 1.0, 50.0)
-        assert ev.method == "quadrature"
+    @pytest.mark.parametrize("V, rel", [(two_bump(), 1e-9), (one_bump(40.0), 1e-8)],
+                             ids=["two_bump", "lambda40"])
+    def test_near_diagonal_complex_takes_the_midpoint_diagonal(self, V, rel):
+        # the running integral is the independent reference; at lambda = 40
+        # its RK4 error at 512 steps is about 1e-9
+        ev = pl.cd_formula(V, 1.0 + 1e-12j, 1.0, 50.0)
+        assert ev.method == "accumulated"
+        ref = pl.cd_quadrature(V, 1.0 + 1e-12j, 1.0, 50.0).value
+        assert abs(ev.value - ref) <= rel * abs(ref)
 
     @pytest.mark.parametrize("L", [1e6, 1e8])
     def test_clock_scale_pairs_use_the_formula_at_large_length(self, L):
@@ -393,12 +401,12 @@ class TestKernelProperties:
 
 def _per_pair(V, alpha, beta, L):
     """S_L(alpha, beta) as the boundary formula computed it pair by pair:
-    Neumann pairs from neumann_solution, and the diagonal route at the
-    midpoint (real) or the running integral (complex) near the diagonal."""
+    Neumann pairs from neumann_solution, and near the diagonal the diagonal
+    formula at the midpoint, real or complex, from its extended walk."""
     if abs(alpha - beta) * L < kernel._NEAR_DIAGONAL:
-        if isinstance(alpha, complex) or isinstance(beta, complex):
-            return pl.cd_quadrature(V, alpha, beta, L).value
-        return pl.cd_diagonal(V, 0.5 * (alpha + beta), L).value
+        mid = propagate._as_scalar(0.5 * (alpha + beta))
+        s = propagate._extended_walk(V, mid, float(L), pl.DEFAULTS.steps_per_bump)
+        return s.du * s.u_xi - s.du_xi * s.u
     s1, s2 = pl.neumann_solution(V, alpha, L), pl.neumann_solution(V, beta, L)
     return (s1.u * s2.du - s2.u * s1.du) / (alpha - beta)
 
@@ -440,7 +448,8 @@ class TestRatioGrid:
     @given(bump_potentials(), st.integers(0, 2), st.floats(0.3, 3.0), st.floats(5.0, 200.0),
            _COMPLEX_SHIFT, _COMPLEX_SHIFT, st.booleans())
     def test_complex_pair_is_the_per_pair_formula(self, V, ell, xi, L, a, b, same):
-        # same = True puts the pair on the diagonal: the running-integral route
+        # same = True puts the pair on the diagonal: the diagonal formula
+        # on the complex argument's own walk
         b = a if same else b
         ell = min(ell, V.bump_count)
         alpha, beta = _arg(xi, a, L), _arg(xi, b, L)
@@ -454,7 +463,7 @@ class TestRatioGrid:
 class TestGridWalks:
     """Walks behind the grid users, counted by wrapping the walkers: every
     walk that misses the caches folds one _piece_maps stream, and every
-    call from kernel into a cached walk entry point is one lookup."""
+    call from kernel into the cached walk is one lookup."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -472,8 +481,7 @@ class TestGridWalks:
         counting(propagate, "_piece_maps")
         counting(propagate, "propagate_to")
         counting(pl.PearsonPotential, "truncate")
-        for name in ("neumann_solution", "extended_neumann", "_extended_walk"):
-            counting(kernel, name, "lookups")
+        counting(kernel, "_extended_walk", "lookups")
         propagate._extended_walk.cache_clear()
         return calls
 
@@ -501,7 +509,7 @@ class TestGridWalks:
     def test_cli_kernel_rows_are_the_per_pair_rows(self):
         # 0.5 + 5e-7 against 0.5 is a near-diagonal pair at L = 1e4 (the
         # midpoint reroute), 0.5 against 0.5 an exactly diagonal one, and
-        # the complex diagonal takes the running integral
+        # the complex diagonal reads its own walk
         V = cli.canonical_potential().build()
         L, xi = 1e4, 1.0
         a_grid, b_grid = [-1.0, 0.0, 0.5, 0.5 + 5e-7, 0.25j], [0.5, 0.0, 1.25, 0.25j]

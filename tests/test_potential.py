@@ -372,6 +372,15 @@ class TestConfigRoundTrip:
         spec = parse_potential_config("amplitude_values = 0.5, 0.25\ncenter_values = 10, 100\n")
         assert spec.count == len(spec.amplitude_values) == 2
 
+    @pytest.mark.parametrize("count", [5, 0])
+    def test_list_count_checked_at_build(self, count):
+        # count = 5 used to build 2 bumps without a word, and neither spec
+        # read back from its own text
+        spec = pl.PotentialSpec(amplitude_values=(0.5, 0.25), center_values=(10.0, 100.0),
+                                count=count)
+        with pytest.raises(ValueError, match=f"count {count} differs from the 2 amplitude_values"):
+            spec.build()
+
     @pytest.mark.parametrize("centers", ["center_values = 10, 100", "center_rule = geometric"])
     @pytest.mark.parametrize("count", [5, 0, 1])
     def test_list_count_must_match_amplitudes(self, count, centers):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,24 @@ class TestFreeTransfer:
         T = pl.free_transfer(complex(1.0, 0.25), 0.0, 2.0)
         assert T.det() == pytest.approx(1.0, abs=1e-12)
         assert T.entries.dtype == np.complex128
+
+    @pytest.mark.parametrize("call, gap", [
+        (lambda V: pl.neumann_solution(V, 1 + 0.3j, 1e4), "[1001.0, 10000.0]"),
+        (lambda V: pl.free_transfer(1 + 0.3j, 0.0, 1e4), "[0.0, 10000.0]"),
+        (lambda V: pl.transfer_to(V, 1 + 0.3j, 1e4), "[1001.0, 10000.0]"),
+        (lambda V: pl.cd_quadrature(V, 1 + 0.3j, 1 + 0.3j, 1e4), "[1001.0, 10000.0]"),
+        (lambda V: pl.kernel_ratio(V, 1.0, 3000j, 0.0, 1e4), "[1001.0, 10000.0]"),
+        (lambda V: pl.transfer_to(pl.zero_potential(), 1 + 0.3j, 4000.0), "[0.0, 4000.0]"),
+    ], ids=["neumann", "free", "transfer", "quadrature", "kernel_ratio", "zero_potential"])
+    def test_overflowing_rotation_named(self, call, gap):
+        # cos and sin of sqrt(xi) * gap grow like exp(0.149 * gap): these
+        # calls used to die in cmath.cos (OverflowError) or, where cos^2
+        # alone overflowed, in the determinant check with a NaN drift
+        from pearsonlab.cli import canonical_potential
+
+        V = canonical_potential().build()
+        with pytest.raises(ValueError, match=re.escape(f"xi = (1+0.3j) overflows across {gap}")):
+            call(V)
 
 
 class TestTrigHelpers:
