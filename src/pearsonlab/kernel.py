@@ -32,7 +32,6 @@ from .propagate import (
     principal_sqrt,
     segments,
     sinc,
-    variation_coeffs_from_state,
     vercosc,
 )
 
@@ -76,7 +75,7 @@ class KernelEvaluation:
 
 @dataclass(frozen=True)
 class Kappa:
-    """Normalization (a1_tilde^2 + a2_tilde^2)/2 of the truncated solution."""
+    """Normalization (u^2 + u'^2/xi)/2 of the truncated Neumann solution."""
 
     ell: int
     xi: float
@@ -199,7 +198,11 @@ def cd_quadrature(
             _, a, b = seg
             (p11, p12, p21, p22), _ = _free_maps(xi, a, b)
             (q11, q12, q21, q22), _ = _free_maps(zeta, a, b)
-            acc = acc + _gap_overlap(u1, d1, w1, u2, d2, w2, b - a)
+            try:
+                acc = acc + _gap_overlap(u1, d1, w1, u2, d2, w2, b - a)
+            except OverflowError:
+                raise ValueError(f"the overlap at xi = {xi!r} and zeta = {zeta!r} "
+                                 f"overflows on the gap from {a!r} to {b!r}") from None
             u1, d1, u2, d2 = p11 * u1 + p12 * d1, p21 * u1 + p22 * d1, q11 * u2 + q12 * d2, q21 * u2 + q22 * d2
         else:
             _, a, b, k = seg
@@ -317,20 +320,22 @@ def kernel_ratio(
 
 
 def _kappa_value(V: PearsonPotential, xi: float, x: float, steps: int, walks: dict) -> float:
-    """(a1_tilde^2 + a2_tilde^2)/2 of the Neumann pair of V at (xi, x), read
-    off xi's cached walk to x in walks."""
+    """(u^2 + u'^2/xi)/2 of the Neumann pair of V at (xi, x), off xi's cached
+    walk to x in walks; (a1_tilde, a2_tilde) is (u, u'/sqrt(xi)) rotated by
+    sqrt(xi) x, so this is (a1_tilde^2 + a2_tilde^2)/2."""
     if not xi > 0.0:
         raise ValueError("kappa requires xi > 0")
-    coeffs = variation_coeffs_from_state(_walk(V, xi, x, steps, walks), xi)
-    return float(0.5 * (coeffs.a1_tilde**2 + coeffs.a2_tilde**2))
+    s = _walk(V, xi, x, steps, walks)
+    return 0.5 * (s.u * s.u + s.du * s.du / xi)
 
 
 def kappa(
     V: PearsonPotential, ell: int, xi: float, x: float, *, steps: int | None = None
 ) -> Kappa:
-    """Normalization (a1_tilde^2 + a2_tilde^2)/2 for the ell-bump truncation.
+    """Normalization (u^2 + u'^2/xi)/2 for the ell-bump truncation.
 
-    Constant in x beyond the last kept bump; always strictly positive.
+    Equals (a1_tilde^2 + a2_tilde^2)/2. Constant in x beyond the last kept
+    bump; always strictly positive.
     """
     xi = float(xi)
     value = _kappa_value(V.truncate(ell), xi, x, _steps_or_default(steps), {})

@@ -6,10 +6,10 @@ Magnus map across bump supports. Each Magnus step is a closed-form 2x2
 exponential of a trace-free matrix, so bump maps keep det = 1 to
 rounding and come with their xi-derivative in closed form; the steps of
 a map are folded together as numpy 4x4 block-triangular products that
-carry T and dT/dxi at once. Every walker (propagate_to, transfer_to,
-extended_neumann and the phase walk of spectrum) is a fold over the one
-stream of per-piece maps (T, dT/dxi) of _piece_maps, which halves bump
-pieces too strong for a Prufer angle to be read off. The stream holds
+carry T and dT/dxi at once. Two folds walk the one stream of per-piece
+maps (T, dT/dxi) of _piece_maps, which halves bump pieces too strong for
+a Prufer angle to be read off: _fold (propagate_to, transfer_to, the
+extended walk) and the phase walk of spectrum. The stream holds
 each map as a 4-tuple of Python scalars, folded in scalar arithmetic:
 on 2x2 objects numpy's per-call cost outweighs the arithmetic. numpy
 stays where it vectorises, in the Magnus steps and the jets below.
@@ -48,7 +48,6 @@ __all__ = [
     "DeterminantDriftError",
     "SolutionState",
     "TransferMatrix",
-    "VariationCoeffs",
     "ExtendedState",
     "principal_sqrt",
     "free_transfer",
@@ -57,7 +56,6 @@ __all__ = [
     "segments",
     "propagate_to",
     "neumann_solution",
-    "variation_coeffs_from_state",
     "extended_neumann",
 ]
 
@@ -138,21 +136,6 @@ class SolutionState:
 
 
 @dataclass(frozen=True)
-class VariationCoeffs:
-    """Coordinates of a solution in the free basis at position x.
-
-    u = a1 * Phi + a2 * Psi with Phi the Dirichlet and Psi the Neumann
-    free solution; a1_tilde = a1 / sqrt(xi), a2_tilde = a2.
-    """
-
-    a1: complex | float
-    a2: complex | float
-    a1_tilde: complex | float
-    a2_tilde: complex | float
-    x: float
-
-
-@dataclass(frozen=True)
 class ExtendedState:
     """(u, u') together with the xi-derivative pair (du/dxi, du'/dxi)."""
 
@@ -187,11 +170,6 @@ class TransferMatrix:
     def det(self) -> complex | float:
         e = self.entries
         return e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-
-    def inv(self) -> "TransferMatrix":
-        e = self.entries
-        adj = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) / self.det()
-        return TransferMatrix(adj, self.to_x, self.from_x)
 
 
 def _check_det(ad, bc, x0: float, x1: float) -> None:
@@ -523,6 +501,19 @@ def _piece_maps(V: PearsonPotential, xi, x0: float, x1: float, steps: int):
                 yield (*_bump_map(V.profile, lam, xi, la, lb, steps), lb - la, w)
 
 
+def _fold(V: PearsonPotential, xi, x0: float, x1: float, steps: int, u, du):
+    """(u, u', v, v') at x1 from (u, u') and (v, v') = (0, 0) at x0; each piece
+    maps v -> T v + dT/dxi (u, u'). A complex walk that overflows, though
+    each gap stays finite, raises ValueError naming xi and the stretch."""
+    v, dv = 0.0, 0.0
+    for (a, b, c, d), (e, f, g, h), *_ in _piece_maps(V, xi, x0, x1, steps):
+        v, dv = (a * v + b * dv) + (e * u + f * du), (c * v + d * dv) + (g * u + h * du)
+        u, du = a * u + b * du, c * u + d * du
+    if isinstance(xi, complex) and not all(map(cmath.isfinite, (u, du, v, dv))):
+        raise ValueError(f"the walk at xi = {xi!r} overflows between {x0!r} and {x1!r}")
+    return u, du, v, dv
+
+
 def propagate_to(
     V: PearsonPotential, xi, target: float, state: SolutionState, *, steps: int | None = None
 ) -> SolutionState:
@@ -532,8 +523,7 @@ def propagate_to(
         raise ValueError("propagation target must not precede the current position")
     xi = _as_scalar(xi)
     u, du = (complex(state.u), complex(state.du)) if isinstance(xi, complex) else (state.u, state.du)
-    for (a, b, c, d), *_ in _piece_maps(V, xi, state.x, target, steps):
-        u, du = a * u + b * du, c * u + d * du
+    u, du, _, _ = _fold(V, xi, state.x, target, steps, u, du)
     return SolutionState(u, du, float(target))
 
 
@@ -543,8 +533,8 @@ def neumann_solution(
     """Solution with u(0) = 1, u'(0) = 0 evaluated at x.
 
     The pair is read off the cached extended walk, the one walk cache of
-    real and complex xi alike, which folds it bit for bit as propagate_to
-    does. The key is normalised first, so numpy and plain scalars, and
+    real and complex xi alike, folded by _fold as propagate_to folds it.
+    The key is normalised first, so numpy and plain scalars, and
     steps=None and the default count, share one entry.
     """
     x = float(x)
@@ -560,30 +550,10 @@ def transfer_to(
     """Full transfer matrix of the potential from 0 to x."""
     steps = _steps_or_default(steps)
     xi = _as_scalar(xi)
-    t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
-    for (a, b, c, d), *_ in _piece_maps(V, xi, 0.0, x, steps):
-        t11, t12, t21, t22 = a * t11 + b * t21, a * t12 + b * t22, c * t11 + d * t21, c * t12 + d * t22
+    t11, t21, _, _ = _fold(V, xi, 0.0, x, steps, 1.0, 0.0)
+    t12, t22, _, _ = _fold(V, xi, 0.0, x, steps, 0.0, 1.0)
     dtype = complex if isinstance(xi, complex) else float
     return TransferMatrix(np.array([[t11, t12], [t21, t22]], dtype=dtype), 0.0, float(x))
-
-
-# -- variation of parameters -------------------------------------------------
-
-
-def variation_coeffs_from_state(state: SolutionState, xi) -> VariationCoeffs:
-    """Free-basis coordinates of a solution from its value pair at state.x.
-
-    Inverts (u, u') = a1 (Phi, Phi') + a2 (Psi, Psi') using the unit
-    Wronskian of the free basis; constant in x wherever V vanishes.
-    """
-    xi = _as_scalar(xi)
-    s = principal_sqrt(xi)
-    z = s * state.x
-    c = _cos(z)
-    sn = _sin(z)
-    a1 = s * sn * state.u + c * state.du
-    a2 = c * state.u - (sn / s) * state.du
-    return VariationCoeffs(a1, a2, a1 / s, a2, state.x)
 
 
 # -- xi-derivative propagation ------------------------------------------------
@@ -595,9 +565,8 @@ def extended_neumann(
     """Neumann solution with its xi-derivative pair, for real xi.
 
     The derivative pair v obeys v'' = (V - xi) v - u and starts at (0, 0),
-    since the boundary data is xi-independent; each piece maps it by
-    (T, dT/dxi) as v -> T v + dT/dxi (u, u'). It is the cached walk that
-    neumann_solution reads its pair from.
+    since the boundary data is xi-independent (see _fold). It is the
+    cached walk that neumann_solution reads its pair from.
     """
     xi = _as_scalar(xi)
     if isinstance(xi, complex):
@@ -608,8 +577,4 @@ def extended_neumann(
 @lru_cache(maxsize=4096)
 def _extended_walk(V: PearsonPotential, xi, x: float, steps: int) -> ExtendedState:
     """The one cached walk of an argument, real or complex, per (V, xi, x, steps)."""
-    u, du, v, dv = 1.0, 0.0, 0.0, 0.0
-    for (a, b, c, d), (e, f, g, h), *_ in _piece_maps(V, xi, 0.0, x, steps):
-        v, dv = (a * v + b * dv) + (e * u + f * du), (c * v + d * dv) + (g * u + h * du)
-        u, du = a * u + b * du, c * u + d * du
-    return ExtendedState(u, du, v, dv, x)
+    return ExtendedState(*_fold(V, xi, 0.0, x, steps, 1.0, 0.0), x)

@@ -61,7 +61,8 @@ def _norm2(entries: np.ndarray) -> float:
 
 
 def transfer_norm_sup(m: float, x_grid: Sequence[float], t_grid: Sequence[float]) -> float:
-    """Sup of the free transfer norm and its inverse over a strip grid.
+    """Sup of the free transfer norm, and so of its inverse, over a strip grid:
+    T has unit determinant, so T^-1 is its adjugate, of the same 2-norm.
 
     Scans xi in [1/m, m] (17-point geometric grid), x in x_grid and
     |t| <= 1 in t_grid, evaluating T(xi + i t/x) from 0 to x.
@@ -76,8 +77,7 @@ def transfer_norm_sup(m: float, x_grid: Sequence[float], t_grid: Sequence[float]
         for x in x_grid:
             for xi in xi_grid:
                 arg = xi + 1j * t / x if t != 0.0 else xi
-                T = free_transfer(arg, 0.0, x)
-                worst = max(worst, _norm2(T.entries), _norm2(T.inv().entries))
+                worst = max(worst, _norm2(free_transfer(arg, 0.0, x).entries))
     return worst
 
 

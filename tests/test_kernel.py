@@ -91,6 +91,15 @@ class TestQuadratureRoute:
         b = pl.cd_quadrature(two_bump(), 1.9, 0.7, 120.0)
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
+    @pytest.mark.parametrize("t", [710.6, 710.9, 711.1])
+    def test_overflowing_overlap_named(self, t):
+        # sin of (sqrt(xi) + sqrt(zeta)) * gap overflows while the free
+        # transfer of the gap still stays finite
+        z = (1 + 1j * t / 8000) ** 2
+        with pytest.raises(ValueError, match="overflows on the gap from 0.0 to 4000.0") as info:
+            pl.cd_quadrature(pl.zero_potential(), z, z, 4000.0)
+        assert "," not in str(info.value)
+
     def test_cauchy_schwarz(self):
         V = two_bump()
         for (xi, zeta) in [(0.5, 1.0), (0.8, 1.7), (1.2, 2.0)]:
@@ -247,9 +256,9 @@ class TestKernelRatio:
 class TestKappa:
     def test_free_value_is_half(self):
         V = two_bump()
-        for xi in (0.3, 1.0, 4.0):
-            for x in (1.0, 17.3, 250.0):
-                assert pl.kappa(V, 0, xi, x).value == pytest.approx(0.5, rel=1e-12)
+        for xi in (0.05, 0.3, 1.0, 1.9, 4.0, 7.5):
+            for x in (0.5, 1.0, 17.3, 250.0, 333.3, 1e5):
+                assert pl.kappa(V, 0, xi, x).value == pytest.approx(0.5, abs=1e-14)
 
     def test_constant_beyond_last_kept_bump(self):
         V = two_bump()
@@ -264,12 +273,24 @@ class TestKappa:
                 assert pl.kappa(V, 2, xi, x).value > 0.0
 
     def test_matches_prufer_radius_identity(self):
-        # (a1_tilde^2 + a2_tilde^2)/2 equals (u^2 + u'^2/xi)/2 identically
+        # the free-basis coordinates a1_tilde = (sin(w x) w u + cos(w x) u')/w
+        # and a2_tilde = cos(w x) u - sin(w x) u'/w, w = sqrt(xi), rotate
+        # (u, u'/w) by w x, so (a1_tilde^2 + a2_tilde^2)/2 is kappa
         V = two_bump()
-        xi, x = 1.7, 57.0
-        s = pl.neumann_solution(V.truncate(2), xi, x)
-        expected = 0.5 * (s.u**2 + s.du**2 / xi)
-        assert pl.kappa(V, 2, xi, x).value == pytest.approx(expected, rel=1e-12)
+        for ell, xi, x in [(0, 0.6, 3.0), (1, 1.7, 57.0), (2, 1.7, 57.0), (2, 3.1, 250.0), (2, 0.2, 1e4)]:
+            s = pl.neumann_solution(V.truncate(ell), xi, x)
+            w = math.sqrt(xi)
+            c, sn = math.cos(w * x), math.sin(w * x)
+            a1_tilde = sn * s.u + c * s.du / w
+            a2_tilde = c * s.u - sn * s.du / w
+            expected = 0.5 * (a1_tilde**2 + a2_tilde**2)
+            assert pl.kappa(V, ell, xi, x).value == pytest.approx(expected, rel=1e-13)
+
+    def test_constant_within_free_gaps(self):
+        V = two_bump()
+        for lo, hi in [(0.0, 10.0), (11.0, 100.0), (101.0, 400.0)]:
+            values = [pl.kappa(V, 2, 1.0, float(x)).value for x in np.linspace(lo + 1e-6, hi - 1e-6, 7)]
+            assert max(values) - min(values) <= 1e-10 * (hi - lo)
 
 
 class TestKappaRatio:

@@ -72,6 +72,21 @@ class TestFreeTransfer:
         with pytest.raises(ValueError, match=re.escape(f"xi = (1+0.3j) overflows across {gap}")):
             call(V)
 
+    @pytest.mark.parametrize("call", [
+        lambda V: pl.neumann_solution(V, 1 + 1.2j, 2400.0),
+        lambda V: pl.propagate_to(V, 1 + 1.2j, 2400.0, pl.SolutionState(1.0, 0.0, 0.0)),
+        lambda V: pl.transfer_to(V, 1 + 1.2j, 2400.0),
+        lambda V: pl.cd_formula(V, 1 + 1.2j, 1 + 1.3j, 2400.0),
+        lambda V: pl.kernel_ratio(V, 1.0, 2400j, 0.0, 2400.0),
+    ], ids=["neumann", "propagate_to", "transfer", "cd_formula", "kernel_ratio"])
+    def test_overflowing_walk_named(self, call):
+        # each gap alone stays finite, but the walk across all six bumps
+        # overflows
+        V = pl.PearsonPotential(pl.canonical_bump(), (0.5,) * 6, (10.0, 400.0, 800.0, 1200.0, 1600.0, 2000.0))
+        with pytest.raises(ValueError, match=r"overflows between 0\.0 and 2400\.0") as info:
+            call(V)
+        assert "," not in str(info.value)
+
 
 class TestTrigHelpers:
     """vercosc and _gcub against 40-digit mpmath, within 1e-14 of the
@@ -553,47 +568,6 @@ class TestNeumannSolution:
             d = pl.propagate_to(V, xi, x, pl.SolutionState(0.0, 1.0, 0.0))
             wronskian = n.u * d.du - n.du * d.u
             assert wronskian == pytest.approx(1.0, abs=1e-10)
-
-
-def _neumann_coeffs(V, xi, x):
-    return pl.variation_coeffs_from_state(pl.neumann_solution(V, xi, x), xi)
-
-
-class TestVariationCoeffs:
-    def test_free_coeffs_are_zero_one(self):
-        V0 = pl.zero_potential()
-        for x in (0.5, 10.0, 333.3):
-            c = _neumann_coeffs(V0, 1.9, x)
-            assert c.a1 == pytest.approx(0.0, abs=1e-12)
-            assert c.a2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_tilde_normalization(self):
-        V = two_bump()
-        xi = 2.2
-        c = _neumann_coeffs(V, xi, 57.0)
-        assert c.a1_tilde == pytest.approx(c.a1 / math.sqrt(xi), rel=1e-14)
-        assert c.a2_tilde == c.a2
-
-    def test_constant_beyond_last_kept_bump(self):
-        V = two_bump().truncate(1)
-        xi = 1.1
-        base = _neumann_coeffs(V, xi, 11.0)
-        for x in (20.0, 75.0, 200.0):
-            c = _neumann_coeffs(V, xi, x)
-            assert c.a1 == pytest.approx(base.a1, abs=1e-10)
-            assert c.a2 == pytest.approx(base.a2, abs=1e-10)
-
-    def test_free_region_constancy_within_gaps(self):
-        V = two_bump()
-        xi = 1.0
-        for gap in [(0.0, 10.0), (11.0, 100.0), (101.0, 400.0)]:
-            lo, hi = gap
-            xs = np.linspace(lo + 1e-6, hi - 1e-6, 7)
-            coeffs = [_neumann_coeffs(V, xi, float(x)) for x in xs]
-            a1s = [c.a1 for c in coeffs]
-            a2s = [c.a2 for c in coeffs]
-            drift = max(max(a1s) - min(a1s), max(a2s) - min(a2s))
-            assert drift <= 1e-10 * (hi - lo)
 
 
 class TestPropagateExtended:

@@ -29,10 +29,26 @@ class TestTransferBoundProbe:
         assert far < near * 1.05
 
     def test_inverse_norm_equals_norm_for_unit_det(self):
-        T = pl.free_transfer(1.5 + 0.3j, 0.0, 7.0)
-        assert np.linalg.norm(T.inv().entries, 2) == pytest.approx(
-            np.linalg.norm(T.entries, 2), rel=1e-10
-        )
+        (a, b), (c, d) = T = pl.free_transfer(1.5 + 0.3j, 0.0, 7.0).entries
+        inverse = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+        np.testing.assert_allclose(inverse @ T, np.eye(2), atol=1e-12)
+        assert np.linalg.norm(inverse, 2) == pytest.approx(np.linalg.norm(T, 2), rel=1e-10)
+
+    def test_sup_covers_the_inverse(self):
+        # the sup of ||T|| alone equals the sup of max(||T||, ||T^-1||),
+        # T^-1 taken as the adjugate over the determinant, on the grid of
+        # transfer_norm_sup itself
+        x_grid, t_grid = np.geomspace(0.5, 200.0, 13), (-1.0, -0.5, 0.0, 0.5, 1.0)
+        for m in (1, 2, 4):
+            worst = 0.0
+            for t in t_grid:
+                for x in x_grid:
+                    for xi in [1.0] if m == 1 else np.geomspace(1.0 / m, m, 17):
+                        T = pl.free_transfer(xi + 1j * t / x if t != 0.0 else xi, 0.0, x).entries
+                        (a, b), (c, d) = T
+                        inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+                        worst = max(worst, np.linalg.norm(T, 2), np.linalg.norm(inv, 2))
+            assert pl.transfer_norm_sup(m, x_grid, t_grid) == pytest.approx(worst, rel=1e-14)
 
 
 class TestOneBumpProbe:
