@@ -570,6 +570,42 @@ class TestNeumannSolution:
             assert wronskian == pytest.approx(1.0, abs=1e-10)
 
 
+def _neumann_coeffs(V, xi, x):
+    """Coordinates (a1, a2) of the Neumann solution in the free basis at x,
+    u = a1 * sin(w x)/w + a2 * cos(w x) with w = sqrt(xi)."""
+    s = pl.neumann_solution(V, xi, x)
+    w = math.sqrt(xi)
+    c, sn = math.cos(w * x), math.sin(w * x)
+    return sn * w * s.u + c * s.du, c * s.u - sn * s.du / w
+
+
+class TestVariationCoeffs:
+    def test_free_coeffs_are_zero_one(self):
+        V0 = pl.zero_potential()
+        for x in (0.5, 10.0, 333.3):
+            a1, a2 = _neumann_coeffs(V0, 1.9, x)
+            assert a1 == pytest.approx(0.0, abs=1e-12)
+            assert a2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_tilde_normalization(self):
+        # kappa is (a1_tilde^2 + a2_tilde^2)/2 with a1_tilde = a1/sqrt(xi)
+        # and a2_tilde = a2
+        V = two_bump()
+        xi = 2.2
+        a1, a2 = _neumann_coeffs(V, xi, 57.0)
+        expected = 0.5 * ((a1 / math.sqrt(xi)) ** 2 + a2**2)
+        assert pl.kappa(V, 2, xi, 57.0).value == pytest.approx(expected, rel=1e-13)
+
+    def test_constant_beyond_last_kept_bump(self):
+        V = two_bump().truncate(1)
+        xi = 1.1
+        base = _neumann_coeffs(V, xi, 11.0)
+        for x in (20.0, 75.0, 200.0):
+            a1, a2 = _neumann_coeffs(V, xi, x)
+            assert a1 == pytest.approx(base[0], abs=1e-10)
+            assert a2 == pytest.approx(base[1], abs=1e-10)
+
+
 class TestPropagateExtended:
     def test_derivative_pair_starts_at_zero(self):
         e = pl.extended_neumann(two_bump(), 1.0, 0.0)
