@@ -171,6 +171,7 @@ def _pair_rhs(lam, xi1, xi2):
     return rhs
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing walk raises below
 def cd_quadrature(
     V: PearsonPotential, xi, zeta, L: float, *, steps: int | None = None
 ) -> KernelEvaluation:
@@ -216,6 +217,8 @@ def cd_quadrature(
             y = _rk4_wsystem(_pair_rhs(lam, xi, zeta), nodes, mids, h, y)
             u1, d1, u2, d2, acc = y
     value = complex(acc) if is_complex else float(acc)
+    if not cmath.isfinite(value):
+        raise ValueError(f"the walk at xi = {xi!r} and zeta = {zeta!r} overflows between 0.0 and {float(L)!r}")
     return KernelEvaluation(xi, zeta, float(L), value, "quadrature")
 
 

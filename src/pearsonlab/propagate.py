@@ -21,15 +21,16 @@ off T at N = 16 points on the circle |xi - xi0| = R = 1/2 by a fixed
 lattice of spacing 1/2 in Re xi and Im xi (real for real xi). Every xi
 lies within 0.354 < R of its center, aliasing adds only c_(j+N) R^N to
 c_j, and a tail check enforces that c_15 R^15 is at rounding level, so
-one polynomial evaluation gives T and dT/dxi to rounding. Partial bump
-pieces are mapped directly. Jets are cached per lattice cell; evaluated
-maps are not cached per xi, since one evaluation is a single small
-product. Walks have one cache, the extended walk of _extended_walk,
-which serves neumann_solution and extended_neumann for real and complex
-xi alike, so a sweep that revisits the same (V, xi, x) propagates it
-once. Everything here is a pure function of immutable inputs; with the
-lattice fixed it is bitwise deterministic for a fixed step
-configuration, whatever the call order.
+one polynomial evaluation gives T and dT/dxi to rounding. The circle
+values fold the Magnus steps as a balanced tree, in bit-reversed step
+order and in place. Partial bump pieces are mapped directly. Jets are
+cached per lattice cell; evaluated maps are not cached per xi, since one
+evaluation is a single small product. Walks have one cache, the extended
+walk of _extended_walk, which serves neumann_solution and
+extended_neumann for real and complex xi alike, so a sweep that revisits
+the same (V, xi, x) propagates it once. Everything here is a pure
+function of immutable inputs; with the lattice fixed it is bitwise
+deterministic for a fixed step configuration, whatever the call order.
 """
 from __future__ import annotations
 
@@ -334,37 +335,62 @@ def _lattice_point(xi):
     return complex(re, im) if im else re
 
 
+@lru_cache(maxsize=16)
+def _tree_samples(profile: BumpProfile, steps: int):
+    """_gauss_samples of the full bump in bit-reversed step order, padded to a power
+    of two with copies of step 0 (identity steps in the fold), and the pads as slices."""
+    w1, w2, h, _ = _gauss_samples(profile, 0.0, 1.0, steps)
+    n, order, pads = len(w1), [0], []
+    while len(order) < n:
+        order = [2 * i for i in order] + [2 * i + 1 for i in order]
+    w1, w2 = (np.array([w[i] if i < n else w[0] for i in order]) for w in (w1.tolist(), w2.tolist()))
+    for w in (w1, w2):
+        w.setflags(write=False)
+    # the padded steps n, n + 1, ... in aligned blocks: the b = 2^k steps from a
+    # multiple of b lie len(order) / b positions apart in bit-reversed order
+    while n < len(order):
+        pads.append(slice(order[n], None, len(order) // (n & -n)))
+        n += n & -n
+    return w1, w2, h, tuple(pads)
+
+
 def _circle_values(profile: BumpProfile, lam: float, steps: int, xi0):
     """Full-bump T at the points xi0 + R w^k, one row (T11, T12, T21, T22) each.
 
-    The Gauss Magnus steps of _magnus_map without the derivative, folded
-    entrywise for all points at once. T has real Taylor coefficients, so
-    for real xi0 only the upper half circle is folded; the rest is its
-    conjugate.
+    The Gauss Magnus steps of _magnus_map without the derivative, folded for
+    all points at once as the same balanced tree, in bit-reversed order and in
+    place: each level folds the second half of S into the first. T has real
+    Taylor coefficients, so for real xi0 only the upper half circle is folded.
     """
     half = _JET_POINTS // 2
     z = np.array([xi0 + _JET_RADIUS * w for w in _ROOTS])
     if not isinstance(xi0, complex):
         z = z[: half + 1]
-    w1, w2, h, _ = _gauss_samples(profile, 0.0, 1.0, steps)
+    w1, w2, h, pads = _tree_samples(profile, steps)
     c = ((math.sqrt(3.0) / 12.0 * h * h * lam) * (w1 - w2))[:, None]
     qbar = (0.5 * lam * (w1 + w2))[:, None] - z
     ch, sh = _exp_coeffs(c * c + h * h * qbar)
-    # S[:, i, k] holds the entries of step i at point k; written in place,
-    # which keeps the peak memory of a jet build down
+    # S[:, r, k] holds the entries at point k of the step at position r;
+    # written in place, which keeps the peak memory of a jet build down
     S = np.empty((4,) + ch.shape, dtype=complex)
     np.multiply(sh, h, out=S[1])
     np.multiply(S[1], qbar, out=S[2])
     np.multiply(sh, c, out=S[3])
     np.add(ch, S[3], out=S[0])
     np.subtract(ch, S[3], out=S[3])
-    del ch, sh, qbar
-    while S.shape[1] > 1:
-        if S.shape[1] % 2:
-            eye = np.broadcast_to(np.array([1.0, 0.0, 0.0, 1.0])[:, None, None], (4, 1, len(z)))
-            S = np.concatenate((S, eye), axis=1)
-        (a0, b0, c0, d0), (a1, b1, c1, d1) = S[:, 0::2], S[:, 1::2]
-        S = np.stack((a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0))
+    for pad in pads:
+        S[:, pad] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
+    n = len(w1)
+    scratch = [t.reshape(2, n // 2, len(z)) for t in (ch, sh, qbar)]  # spent once S is built
+    while n := n // 2:  # rows x0 = (a0, b0) and y0 = (c0, d0) <- (a1 x0 + b1 y0, c1 x0 + d1 y0)
+        x0, y0, (a1, b1, c1, d1) = S[:2, :n], S[2:, :n], S[:, n : 2 * n]
+        u, v, w = (t[:, :n] for t in scratch)
+        np.multiply(a1, x0, out=u)
+        np.multiply(b1, y0, out=v)
+        np.multiply(c1, x0, out=w)
+        np.add(u, v, out=x0)
+        np.multiply(d1, y0, out=v)
+        np.add(w, v, out=y0)
     T = S[:, 0].T
     return T if len(T) == _JET_POINTS else np.concatenate((T, T[half - 1 : 0 : -1].conj()))
 

@@ -100,6 +100,15 @@ class TestQuadratureRoute:
             pl.cd_quadrature(pl.zero_potential(), z, z, 4000.0)
         assert "," not in str(info.value)
 
+    @pytest.mark.parametrize("L", [2400.0, 2000.5])
+    def test_overflowing_walk_named(self, L):
+        # each gap alone stays finite, but the walk across the six bumps
+        # overflows; the running integral used to come back as NaN
+        V = pl.PearsonPotential(pl.canonical_bump(), (0.5,) * 6, (10.0, 400.0, 800.0, 1200.0, 1600.0, 2000.0))
+        with pytest.raises(ValueError, match=f"overflows between 0.0 and {L!r}") as info:
+            pl.cd_quadrature(V, 1 + 1.2j, 1 + 1.3j, L)
+        assert "," not in str(info.value)
+
     def test_cauchy_schwarz(self):
         V = two_bump()
         for (xi, zeta) in [(0.5, 1.0), (0.8, 1.7), (1.2, 2.0)]:

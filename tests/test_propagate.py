@@ -305,6 +305,53 @@ class TestBumpJet:
         monkeypatch.setattr(propagate, "_exp_coeffs", self._quotient_exp_coeffs)
         assert np.array_equal(got, build(profile, lam, 512, xi0))
 
+    @staticmethod
+    def _strided_circle_values(profile, lam, steps, xi0):
+        # the circle values as folded before the in-place tree: steps in
+        # natural order, pairs taken by stride, an identity appended to each
+        # odd level and every level stacked afresh
+        half = propagate._JET_POINTS // 2
+        z = np.array([xi0 + propagate._JET_RADIUS * w for w in propagate._ROOTS])
+        if not isinstance(xi0, complex):
+            z = z[: half + 1]
+        w1, w2, h, _ = propagate._gauss_samples(profile, 0.0, 1.0, steps)
+        c = ((math.sqrt(3.0) / 12.0 * h * h * lam) * (w1 - w2))[:, None]
+        qbar = (0.5 * lam * (w1 + w2))[:, None] - z
+        ch, sh = propagate._exp_coeffs(c * c + h * h * qbar)
+        S = np.stack((ch + sh * c, sh * h, sh * h * qbar, ch - sh * c))
+        while S.shape[1] > 1:
+            if S.shape[1] % 2:
+                eye = np.broadcast_to(np.array([1.0, 0.0, 0.0, 1.0])[:, None, None], (4, 1, len(z)))
+                S = np.concatenate((S, eye), axis=1)
+            (a0, b0, c0, d0), (a1, b1, c1, d1) = S[:, 0::2], S[:, 1::2]
+            S = np.stack((a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0))
+        T = S[:, 0].T
+        return T if len(T) == propagate._JET_POINTS else np.concatenate((T, T[half - 1 : 0 : -1].conj()))
+
+    @pytest.mark.parametrize("steps", [16, 17, 100, 511, 512, 600, 1000, 1024])
+    def test_tree_fold_equals_strided_tree(self, steps):
+        # counts that are not powers of two take identity padding steps
+        profile = pl.canonical_bump()
+        for lam in (-2.0, 0.3, 1.0, 40.0):
+            for xi0 in (0.5, 1.0, 2.0, 10.0, complex(1.0, 0.5), complex(3.0, -0.5)):
+                got = propagate._circle_values(profile, lam, steps, xi0)
+                want = self._strided_circle_values(profile, lam, steps, xi0)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (lam, xi0)
+                assert got.tobytes() == want.tobytes(), (lam, xi0)  # signed zeros too
+
+    def test_jet_build_peak_memory(self):
+        import tracemalloc
+
+        build, profile = propagate._bump_jet.__wrapped__, pl.canonical_bump()
+        build(profile, 1.0, 512, 1.0)  # the cached samples are not counted
+        tracemalloc.start()
+        try:
+            build(profile, 1.0, 512, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 640 * 1024
+
     def test_tail_check_raises(self):
         coefs = np.zeros((propagate._JET_POINTS, 4))
         coefs[0] = 1.0
