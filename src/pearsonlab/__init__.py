@@ -13,7 +13,6 @@ from os import environ as _environ
 # Matrices here are at most 16 x 16, so OpenBLAS worker threads would only spin
 # (about 60 ms of a second core once numpy loads); start none unless asked to.
 _environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-from .config import *  # noqa: E402,F401,F403
 from .potential import *  # noqa: E402,F401,F403
 from .propagate import *  # noqa: E402,F401,F403
 from .kernel import *  # noqa: E402,F401,F403

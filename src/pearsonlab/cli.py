@@ -216,10 +216,9 @@ def _probe_params_text(parameters: dict) -> str:
 
 
 def _probe_rows(call):
-    probe = call()
-    ref = probe.reference if probe.reference is not None else ""
+    probe = call()  # no probe has a closed-form reference: that column stays empty
     return [
-        [probe.lemma_id, _probe_params_text(probe.parameters), probe.measured, ref,
+        [probe.lemma_id, _probe_params_text(probe.parameters), probe.measured, "",
          probe.verdict, "ok"]
     ]
 
@@ -376,8 +375,8 @@ def run(cfg: ExperimentConfig) -> int:
 # -- headline reproduction -----------------------------------------------------
 
 
-def canonical_potential(count: int = 12) -> PotentialSpec:
-    """Amplitudes n^(-1/4) (square sum divergent), centers 10, 100, 1000, ..."""
+def canonical_potential() -> PotentialSpec:
+    """12 bumps: amplitudes n^(-1/4) (square sum divergent), centers 10, 100, 1000, ..."""
     return PotentialSpec(
         amplitude_rule="power",
         amplitude_c=1.0,
@@ -385,7 +384,7 @@ def canonical_potential(count: int = 12) -> PotentialSpec:
         center_rule="geometric",
         center_n1=10.0,
         center_gamma=10.0,
-        count=count,
+        count=12,
     )
 
 

@@ -5,9 +5,9 @@ three mutually checking routes: a running integral carried through the
 propagation ("quadrature"), the boundary formula for distinct arguments
 ("cd_formula"), and the diagonal formula through the xi-derivative pair
 ("accumulated"). _kernel_entry picks the route of every value the module
-returns, from cached walks: arguments closer than 1e-6 / L, real or
-complex, take the diagonal at their midpoint; cd_quadrature, the
-reference, runs only when a caller asks for it. The normalized ratios
+returns, from cached walks: arguments closer than t(L) / L, a switch that
+grows like L^(1/3), take the diagonal at their midpoint; cd_quadrature,
+the reference, runs only when a caller asks for it. The normalized ratios
 are evaluated on grids of shifts (_ratio_grid), which look up the walk
 of each distinct shifted argument once; each CLI kernel task and each
 (xi, x) of empirical_hat_N is one grid, and the one-pair functions are
@@ -24,6 +24,7 @@ import numpy as np
 
 from .potential import BumpProfile, PearsonPotential
 from .propagate import (
+    _EPS,
     _as_scalar,
     _extended_walk,
     _free_maps,
@@ -52,9 +53,9 @@ __all__ = [
 
 _METHODS = ("quadrature", "cd_formula", "accumulated")
 
-# below this argument separation, in units of 1/L, the boundary formula is
-# numerically singular and evaluation reroutes; a threshold in absolute
-# units would reroute whole clock-scale grids (spacing 1/L) once L is large
+# the floor of the near-diagonal switch of _kernel_entry, in units of 1/L; a
+# threshold in absolute units would reroute whole clock-scale grids (spacing
+# 1/L) once L is large
 _NEAR_DIAGONAL = 1e-6
 
 
@@ -235,14 +236,23 @@ def _walk(V: PearsonPotential, z, L: float, steps: int, walks: dict):
 
 def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps: int, walks: dict):
     """S_L(xi, zeta) and its route, the one place a route is chosen: arguments
-    closer than 1e-6 / L, real or complex, take the diagonal formula at their
-    midpoint ("accumulated"), all others the boundary formula ("cd_formula").
-    It never calls cd_quadrature, the reference."""
-    if abs(xi - zeta) * L < _NEAR_DIAGONAL:
-        s = _walk(V, _as_scalar(0.5 * (xi + zeta)), L, steps, walks)
-        return s.du * s.u_xi - s.du_xi * s.u, "accumulated"
-    s1, s2 = _walk(V, xi, L, steps, walks), _walk(V, zeta, L, steps, walks)
-    return (s1.u * s2.du - s2.u * s1.du) / (xi - zeta), "cd_formula"
+    closer than t / L, real or complex, take the diagonal formula at their
+    midpoint m ("accumulated"), all others the boundary formula ("cd_formula").
+    Rounding leaves the boundary formula off by about 0.8 eps L / |b - a| at
+    clock separation |b - a| = |xi - zeta| L, and the midpoint diagonal off by
+    (b - a)^2 / (24 |m|); these meet at t = (19 |m| eps L)^(1/3), floored at
+    _NEAR_DIAGONAL. cd_quadrature, the reference, is never called. A value
+    that is not finite raises ValueError naming xi, zeta and L."""
+    mid = 0.5 * (xi + zeta)
+    if abs(xi - zeta) * L < max(_NEAR_DIAGONAL, (19.0 * abs(mid) * _EPS * L) ** (1.0 / 3.0)):
+        s = _walk(V, _as_scalar(mid), L, steps, walks)
+        value, route = s.du * s.u_xi - s.du_xi * s.u, "accumulated"
+    else:
+        s1, s2 = _walk(V, xi, L, steps, walks), _walk(V, zeta, L, steps, walks)
+        value, route = (s1.u * s2.du - s2.u * s1.du) / (xi - zeta), "cd_formula"
+    if not cmath.isfinite(value):
+        raise ValueError(f"the kernel at xi = {xi!r} and zeta = {zeta!r} overflows at L = {L!r}")
+    return value, route
 
 
 def cd_formula(
@@ -250,9 +260,9 @@ def cd_formula(
 ) -> KernelEvaluation:
     """Kernel from boundary data, (u(xi)u'(zeta) - u(zeta)u'(xi))/(xi - zeta).
 
-    Arguments closer than 1e-6 / L, real or complex, take the diagonal
-    route at their midpoint, and the returned method flags the switch as
-    "accumulated". cd_quadrature is never called on the caller's behalf.
+    Arguments closer than t(L) / L (see _kernel_entry), real or complex, take
+    the diagonal route at their midpoint, and the returned method flags the
+    switch as "accumulated". cd_quadrature never runs on the caller's behalf.
     """
     if not L > 0.0:
         raise ValueError("the kernel needs L > 0")
@@ -325,11 +335,14 @@ def kernel_ratio(
 def _kappa_value(V: PearsonPotential, xi: float, x: float, steps: int, walks: dict) -> float:
     """(u^2 + u'^2/xi)/2 of the Neumann pair of V at (xi, x), off xi's cached
     walk to x in walks; (a1_tilde, a2_tilde) is (u, u'/sqrt(xi)) rotated by
-    sqrt(xi) x, so this is (a1_tilde^2 + a2_tilde^2)/2."""
+    sqrt(xi) x, so this is (a1_tilde^2 + a2_tilde^2)/2; an overflow raises ValueError."""
     if not xi > 0.0:
         raise ValueError("kappa requires xi > 0")
     s = _walk(V, xi, x, steps, walks)
-    return 0.5 * (s.u * s.u + s.du * s.du / xi)
+    value = 0.5 * (s.u * s.u + s.du * s.du / xi)
+    if not math.isfinite(value):
+        raise ValueError(f"kappa at xi = {xi!r} overflows at x = {x!r}")
+    return value
 
 
 def kappa(

@@ -126,9 +126,9 @@ class PearsonPotential:
         )
 
 
-def zero_potential(profile: BumpProfile | None = None) -> PearsonPotential:
+def zero_potential() -> PearsonPotential:
     """The free potential (no bumps)."""
-    return PearsonPotential(profile or canonical_bump(), (), ())
+    return PearsonPotential(canonical_bump(), (), ())
 
 
 def geometric_schedule(
@@ -136,9 +136,8 @@ def geometric_schedule(
     n1: float,
     gamma: float,
     count: int,
-    profile: BumpProfile | None = None,
 ) -> PearsonPotential:
-    """Potential with centers N_1 = n1, N_{k+1} = ceil(gamma * N_k).
+    """Canonical bumps with centers N_1 = n1, N_{k+1} = ceil(gamma * N_k).
 
     The center ratio then satisfies N_k / N_{k+1} <= 1/gamma. A center
     past the largest double raises a ValueError.
@@ -159,7 +158,7 @@ def geometric_schedule(
             raise ValueError(f"center {len(centers) + 1} of the schedule is not finite")
         centers.append(float(math.ceil(c)))
     return PearsonPotential(
-        profile or canonical_bump(),
+        canonical_bump(),
         tuple(float(a) for a in amplitudes[:count]),
         tuple(centers),
     )
@@ -268,7 +267,6 @@ class PotentialSpec:
                 f"count {self.count} differs from the {len(self.amplitude_values)} amplitude_values")
         if self.count < 0:
             raise ValueError(f"count must be non-negative (got {self.count})")
-        profile = canonical_bump()
         if self.amplitude_rule == "list":
             amps = self.amplitude_values
         elif self.amplitude_rule == "power":
@@ -278,9 +276,9 @@ class PotentialSpec:
         if self.center_rule == "list":
             if len(self.center_values) != len(amps):
                 raise ValueError("amplitude and center lists must have equal length")
-            return PearsonPotential(profile, amps, self.center_values)
+            return PearsonPotential(canonical_bump(), amps, self.center_values)
         if self.center_rule == "geometric":
-            return geometric_schedule(amps, self.center_n1, self.center_gamma, len(amps), profile)
+            return geometric_schedule(amps, self.center_n1, self.center_gamma, len(amps))
         raise ValueError(f"unknown center_rule {self.center_rule!r}")
 
 

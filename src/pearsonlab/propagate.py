@@ -42,7 +42,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULTS
 from .potential import BumpProfile, PearsonPotential
 
 __all__ = [
@@ -62,6 +61,12 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _SERIES_CUT = 1e-4  # |z| below which sinc uses its series form
+# fixed step count across one unit bump support: Magnus steps in the
+# propagation, RK4 steps in kernel.cd_quadrature
+STEPS_PER_BUMP = 512
+# allowed |det - 1| drift of a transfer matrix per unit of propagated length
+# (floor of one unit), checked once when the matrix is constructed
+DET_TOL_PER_UNIT = 1e-10
 
 
 class DeterminantDriftError(RuntimeError):
@@ -175,10 +180,10 @@ class TransferMatrix:
 
 def _check_det(ad, bc, x0: float, x1: float) -> None:
     """Raise DeterminantDriftError unless |ad - bc - 1| (NaN included) is
-    within det_tol_per_unit per unit of [x0, x1] (floor one unit)."""
+    within DET_TOL_PER_UNIT per unit of [x0, x1] (floor one unit)."""
     # plus 4 eps (|ad| + |bc|): ad - bc itself rounds by that much, which
     # outgrows the budget for the large entries of long complex-xi transfers
-    tol = DEFAULTS.det_tol_per_unit * max(1.0, abs(x1 - x0)) + 4.0 * _EPS * (abs(ad) + abs(bc))
+    tol = DET_TOL_PER_UNIT * max(1.0, abs(x1 - x0)) + 4.0 * _EPS * (abs(ad) + abs(bc))
     drift = abs(ad - bc - 1.0)
     if not drift <= tol:
         raise DeterminantDriftError(f"|det - 1| = {drift:.3e} over [{x0}, {x1}] exceeds {tol:.3e}")
@@ -223,7 +228,7 @@ _EXP_SERIES_CUT = 1e-2  # |mu^2| below which the step exponential uses series fo
 
 
 def _steps_or_default(steps: int | None) -> int:
-    n = DEFAULTS.steps_per_bump if steps is None else int(steps)
+    n = STEPS_PER_BUMP if steps is None else int(steps)
     if n < 16:
         raise ValueError("bump integration requires at least 16 steps")
     return n
@@ -529,13 +534,13 @@ def _piece_maps(V: PearsonPotential, xi, x0: float, x1: float, steps: int):
 
 def _fold(V: PearsonPotential, xi, x0: float, x1: float, steps: int, u, du):
     """(u, u', v, v') at x1 from (u, u') and (v, v') = (0, 0) at x0; each piece
-    maps v -> T v + dT/dxi (u, u'). A complex walk that overflows, though
-    each gap stays finite, raises ValueError naming xi and the stretch."""
+    maps v -> T v + dT/dxi (u, u'). A walk that overflows, real or complex,
+    though each piece stays finite, raises ValueError naming xi and the stretch."""
     v, dv = 0.0, 0.0
     for (a, b, c, d), (e, f, g, h), *_ in _piece_maps(V, xi, x0, x1, steps):
         v, dv = (a * v + b * dv) + (e * u + f * du), (c * v + d * dv) + (g * u + h * du)
         u, du = a * u + b * du, c * u + d * du
-    if isinstance(xi, complex) and not all(map(cmath.isfinite, (u, du, v, dv))):
+    if not all(map(cmath.isfinite, (u, du, v, dv))):
         raise ValueError(f"the walk at xi = {xi!r} overflows between {x0!r} and {x1!r}")
     return u, du, v, dv
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
 from .kernel import rho
 from .potential import PearsonPotential
 from .propagate import _as_scalar, _piece_maps, _steps_or_default
@@ -195,6 +194,11 @@ def eigenvalue_count(V: PearsonPotential, xi: float, L: float, *, steps: int | N
 
 
 _FLOOR = 1e-14  # smallest energy probed; the free ground state sits at 0
+# relative tolerance of eigenvalue refinement: a root is accepted once |u'(xi, L)|
+# drops below ROOT_REL_TOL times the local solution scale sqrt(xi u^2 + u'^2);
+# that ratio is |cos theta| for the phase theta, so |theta - target| <= ROOT_REL_TOL
+# implies it
+ROOT_REL_TOL = 1e-10
 
 
 def _newton_root(V, L, k, guess, steps):
@@ -207,7 +211,7 @@ def _newton_root(V, L, k, guess, steps):
     replaced by bisection (the safeguard of rtsafe in Numerical Recipes).
     Within one of the target the offset is taken as asin of the state's
     cosine, which stays accurate however large theta is. A root is accepted
-    once |u'| <= root_rel_tol * sqrt(xi u^2 + u'^2). Returns the root, the
+    once |u'| <= ROOT_REL_TOL * sqrt(xi u^2 + u'^2). Returns the root, the
     number of walks, the achieved residual and the slope at the root.
     Raises _BelowBottom when theta exceeds the target at the floor 1e-14
     and RuntimeError when the iterate stalls or 100 walks do not reach the
@@ -222,7 +226,7 @@ def _newton_root(V, L, k, guess, steps):
         theta, slope, cos_theta = _phase_walk(V, x, L, steps)
         offset = theta - target
         if abs(offset) < 1.0:
-            if abs(cos_theta) <= DEFAULTS.root_rel_tol:
+            if abs(cos_theta) <= ROOT_REL_TOL:
                 return x, walks, abs(cos_theta), slope
             offset = math.asin(-sign * cos_theta)
         if offset < 0.0:
@@ -260,8 +264,8 @@ def eigenvalues_near(
     its exact xi-slope, kept inside the bracket that the monotone angle
     gives (bisection when a step leaves it), from a start one local
     spacing pi / (dtheta/dxi) away from its neighbour. A root is accepted
-    once |u'(xi, L)| <= root_rel_tol * sqrt(xi u^2 + u'^2), a ratio equal to
-    |cos theta|, so that |theta - target| <= root_rel_tol implies it; a
+    once |u'(xi, L)| <= ROOT_REL_TOL * sqrt(xi u^2 + u'^2), a ratio equal to
+    |cos theta|, so that |theta - target| <= ROOT_REL_TOL implies it; a
     search that does not get there raises RuntimeError. iterations and
     residuals of the window report the walks and the achieved ratio per
     root. Ties follow

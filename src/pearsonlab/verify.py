@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "transfer_norm_sup",
     "empirical_m_tilde",
     "staircase_m",
-    "first_half_comparison_ell",
 ]
 
 _VERDICTS = ("pass", "fail", "recorded")
@@ -36,24 +36,16 @@ _XI_POINTS = 17  # xi samples in [1/m, m] of the strip probes
 
 @dataclass(frozen=True)
 class BoundProbe:
-    """One measured bound with its parameters and verdict.
-
-    reference is None when no closed-form comparison exists; a "pass"
-    verdict with a reference present requires measured <= reference.
-    """
+    """One measured bound with its parameters and verdict."""
 
     lemma_id: str
     parameters: dict
     measured: float
-    reference: float | None
     verdict: str
 
     def __post_init__(self) -> None:
         if self.verdict not in _VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "pass" and self.reference is not None:
-            if not self.measured <= self.reference:
-                raise ValueError("verdict pass requires measured <= reference")
 
 
 def _norm2(entries: np.ndarray) -> float:
@@ -98,13 +90,13 @@ def probe_transfer_bound(m: int, x_grid: Sequence[float], t_grid: Sequence[float
             "xi_points": _XI_POINTS,
         },
         measured=float(measured),
-        reference=None,
         verdict="recorded",
     )
 
 
+@cache
 def empirical_m_tilde(m: int) -> float:
-    """sqrt(m) times the empirical strip constant M_m.
+    """sqrt(m) times the empirical strip constant M_m, computed once per m.
 
     M_m is measured on the strip grid x = geomspace(0.5, 200, 13),
     t = -1, -0.5, 0, 0.5, 1.
@@ -150,7 +142,6 @@ def probe_one_bump(lam: float, xi: float, *, steps: int | None = None) -> BoundP
             "spread": float(spread),
         },
         measured=float(constants[0]),
-        reference=None,
         verdict="pass" if spread <= 1.2 else "fail",
     )
 
@@ -226,26 +217,8 @@ def probe_truncation_step(
             "half_comparison_ratio": float(half_ratio),
         },
         measured=float(measured),
-        reference=None,
         verdict="pass" if spread <= 1.2 else "fail",
     )
-
-
-def first_half_comparison_ell(
-    V: PearsonPotential, xi: float, *, steps: int | None = None
-) -> int | None:
-    """Smallest ell whose consecutive truncations keep the norm ratio >= 1/2.
-
-    Scans every available ell at 5 points from bump ell to the next (or
-    10 past the last); returns None when no level qualifies.
-    """
-    for ell in range(V.bump_count):
-        lo_edge = V.centers[ell]
-        hi_edge = V.centers[ell + 1] if ell + 1 < V.bump_count else lo_edge + 10.0
-        grid = list(np.linspace(lo_edge, hi_edge, 5))
-        if _compare_truncations(V, ell, xi, grid, steps)[1] >= 0.5:
-            return ell
-    return None
 
 
 def staircase_m(lambda_seq: Sequence[float], *, m_max: int = 4) -> list[int]:
@@ -255,13 +228,12 @@ def staircase_m(lambda_seq: Sequence[float], *, m_max: int = 4) -> list[int]:
     predecessor, where feasibility means |lam_n| <= 1/(m * m_tilde(m)^6)
     with the empirical strip constants.
     """
-    tildes = {m: empirical_m_tilde(m) for m in range(1, m_max + 1)}
     out: list[int] = []
     prev = 1
     for lam in lambda_seq:
         m = prev
         for r in range(m_max, prev - 1, -1):
-            if abs(lam) <= 1.0 / (r * tildes[r] ** 6):
+            if abs(lam) <= 1.0 / (r * empirical_m_tilde(r) ** 6):
                 m = r
                 break
         out.append(m)
@@ -280,13 +252,7 @@ def probe_kappa_schedule(lambda_seq: Sequence[float], m_seq: Sequence[int]) -> B
         raise ValueError("amplitude and interval sequences must have equal length")
     if len(lambda_seq) == 0:
         raise ValueError("need at least one schedule entry")
-    tildes: dict[int, float] = {}
-    products = []
-    for lam, m in zip(lambda_seq, m_seq):
-        m = int(m)
-        if m not in tildes:
-            tildes[m] = empirical_m_tilde(m)
-        products.append(abs(lam) * tildes[m] ** 6)
+    products = [abs(lam) * empirical_m_tilde(int(m)) ** 6 for lam, m in zip(lambda_seq, m_seq)]
     decreasing = all(
         b <= a * (1.0 + 1e-12) for a, b in zip(products, products[1:])
     )
@@ -300,6 +266,5 @@ def probe_kappa_schedule(lambda_seq: Sequence[float], m_seq: Sequence[int]) -> B
             "last_product": float(products[-1]),
         },
         measured=float(max(products)),
-        reference=None,
         verdict="pass" if decreasing else "fail",
     )

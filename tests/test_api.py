@@ -3,9 +3,9 @@ import re
 import types
 
 import pearsonlab as pl
-from pearsonlab import config, kernel, potential, propagate, spectrum, verify
+from pearsonlab import kernel, potential, propagate, spectrum, verify
 
-MODULES = (config, potential, propagate, kernel, spectrum, verify)
+MODULES = (potential, propagate, kernel, spectrum, verify)
 
 
 def test_package_exports_exactly_the_modules_all():

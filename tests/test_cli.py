@@ -36,9 +36,9 @@ class TestClockCommand:
             assert row[6] == "ok"
 
     def test_unconverged_polish_gives_error_row(self, tmp_path, monkeypatch):
-        from pearsonlab import Settings, spectrum
+        from pearsonlab import spectrum
 
-        monkeypatch.setattr(spectrum, "DEFAULTS", Settings(root_rel_tol=0.0))
+        monkeypatch.setattr(spectrum, "ROOT_REL_TOL", 0.0)
         out = tmp_path / "clock.csv"
         cfg = tmp_path / "c.cfg"
         cfg.write_text("amplitude_values = 0.5\ncenter_values = 10\n")

@@ -9,7 +9,8 @@ import pearsonlab as pl
 from pearsonlab import cli, kernel, propagate
 
 from util import (
-    bump_potentials, cell_edge_pairs, free_kernel, free_kernel_ratio, one_bump, sinc, two_bump,
+    bump_potentials, cell_edge_pairs, free_kernel, free_kernel_ratio, one_bump, sinc, strong_train,
+    two_bump,
 )
 
 
@@ -154,8 +155,9 @@ class TestFormulaRoute:
 
     @pytest.mark.parametrize("L", [1e6, 1e8])
     def test_clock_scale_pairs_use_the_formula_at_large_length(self, L):
-        # the near-diagonal threshold is in units of 1/L: pairs a clock
-        # spacing apart keep the boundary formula however large L is
+        # the near-diagonal threshold is in units of 1/L and grows only like
+        # L^(1/3) (7.5e-3 at 1e8): pairs a clock spacing apart keep the
+        # boundary formula
         V = cli.canonical_potential().build()
         den = pl.cd_quadrature(V, 1.0, 1.0, L).value
         for a, b in ((0.25, 0.0), (0.5, 0.0), (-0.25, 0.25)):
@@ -164,6 +166,29 @@ class TestFormulaRoute:
             assert pl.cd_formula(V, 1.0 + a / L, 1.0 + b / L, L).method == "cd_formula"
         for gap in (0.0, 1e-9, 1e-8):
             assert pl.cd_formula(V, 1.0 + 0.5 / L, 1.0 + (0.5 + gap) / L, L).method == "accumulated"
+
+    @pytest.mark.parametrize("gap, method", [(1e-2, "accumulated"), (3e-2, "cd_formula")])
+    def test_near_diagonal_switch_scales_with_length(self, gap, method):
+        # at L = 1e9 and xi = 1 the switch (19 eps L)^(1/3) is 1.6e-2 in clock
+        # units; either side stays within 1e-5 of the running integral, which
+        # differs from the midpoint diagonal by gap^2 / 24 (4.2e-6 at 1e-2)
+        V, L = cli.canonical_potential().build(), 1e9
+        xi, zeta = 1.0 + 1.0 / L, 1.0 + (1.0 + gap) / L
+        ev = pl.cd_formula(V, xi, zeta, L)
+        assert ev.method == method
+        assert ev.value == pytest.approx(pl.cd_quadrature(V, xi, zeta, L).value, rel=1e-5)
+
+    @pytest.mark.parametrize("L", [1e4, 1e6, 1e8, 1e9])
+    def test_close_pairs_stay_near_the_midpoint_diagonal(self, L):
+        # S(xi, zeta) / S(m, m) - 1 is (b - a)^2 / (24 xi) in the sinc limit,
+        # at most 4.2e-6 here; with the switch fixed at |b - a| = 1e-6 the
+        # boundary formula's rounding, about 0.8 eps L / |b - a|, read 8.3e-2
+        # at (L, |b - a|) = (1e9, 2e-6)
+        V = cli.canonical_potential().build()
+        for gap in (2e-6, 1e-4, 1e-2):
+            xi, zeta = 1.0 + 1.0 / L, 1.0 + (1.0 + gap) / L
+            s = pl.cd_formula(V, xi, zeta, L).value
+            assert abs(s / pl.cd_diagonal(V, 0.5 * (xi + zeta), L).value - 1.0) <= 1e-4
 
 
 class TestDiagonalRoute:
@@ -257,9 +282,34 @@ class TestKernelRatio:
         V = two_bump()
         propagate._extended_walk.cache_clear()
         pl.kernel_ratio(V, 1.1, 0.5, -0.5, 70.0)
-        pl.kernel_ratio(V, 1.1, 0.5, -0.5, 70.0, steps=pl.DEFAULTS.steps_per_bump)
+        pl.kernel_ratio(V, 1.1, 0.5, -0.5, 70.0, steps=propagate.STEPS_PER_BUMP)
         info = propagate._extended_walk.cache_info()
         assert (info.hits, info.misses) == (3, 3)
+
+
+class TestOverflow:
+    """Walks of strong_train at xi = 0.01 reach about 5.8e201 by x = 300: the
+    walk is finite, but kernel and kappa values formed from it are not."""
+
+    @pytest.mark.parametrize("call, zeta", [
+        (lambda V: pl.cd_formula(V, 0.01, 0.02, 300.0), "0.02"),
+        (lambda V: pl.cd_diagonal(V, 0.01, 300.0), "0.01"),
+        (lambda V: pl.kernel_ratio(V, 0.01, 0, 1, 300.0), "0.013333333333333334"),
+        (lambda V: pl.kappa_ratio(V, 150, 0.01, 0, 1, 300.0), "0.013333333333333334"),
+    ], ids=["cd_formula", "cd_diagonal", "kernel_ratio", "kappa_ratio"])
+    def test_overflowing_kernel_named(self, call, zeta):
+        # these came back as NaN
+        V = strong_train()
+        assert math.isfinite(pl.neumann_solution(V, 0.01, 300.0).u)
+        with pytest.raises(ValueError) as info:
+            call(V)
+        assert str(info.value) == f"the kernel at xi = 0.01 and zeta = {zeta} overflows at L = 300.0"
+
+    def test_overflowing_kappa_named(self):
+        # this came back as inf, which passed Kappa's check value > 0
+        with pytest.raises(ValueError) as info:
+            pl.kappa(strong_train(), 150, 0.01, 300.0)
+        assert str(info.value) == "kappa at xi = 0.01 overflows at x = 300.0"
 
 
 class TestKappa:
@@ -431,11 +481,13 @@ class TestKernelProperties:
 
 def _per_pair(V, alpha, beta, L):
     """S_L(alpha, beta) as the boundary formula computed it pair by pair:
-    Neumann pairs from neumann_solution, and near the diagonal the diagonal
-    formula at the midpoint, real or complex, from its extended walk."""
-    if abs(alpha - beta) * L < kernel._NEAR_DIAGONAL:
-        mid = propagate._as_scalar(0.5 * (alpha + beta))
-        s = propagate._extended_walk(V, mid, float(L), pl.DEFAULTS.steps_per_bump)
+    Neumann pairs from neumann_solution, and near the diagonal (the switch
+    max(1e-6, (19 |m| eps L)^(1/3)) in clock units) the diagonal formula at
+    the midpoint m, real or complex, from its extended walk."""
+    mid = 0.5 * (alpha + beta)
+    if abs(alpha - beta) * L < max(1e-6, (19.0 * abs(mid) * 2.0**-52 * L) ** (1.0 / 3.0)):
+        s = propagate._extended_walk(
+            V, propagate._as_scalar(mid), float(L), propagate.STEPS_PER_BUMP)
         return s.du * s.u_xi - s.du_xi * s.u
     s1, s2 = pl.neumann_solution(V, alpha, L), pl.neumann_solution(V, beta, L)
     return (s1.u * s2.du - s2.u * s1.du) / (alpha - beta)
@@ -554,3 +606,38 @@ class TestGridWalks:
                 want.append(
                     ["kernel_ratio", xi, a, b, L, re, im, target, abs(value - target), "ok"])
         assert cli._kernel_rows(V, L, xi, a_grid, b_grid, None) == want
+
+
+class TestLargeLengthLaw:
+    """The L -> infinity law: past the bump at N_k = 10^k of the canonical
+    potential, of amplitude lam_k = k^(-1/4), the sup kernel error over the
+    criterion-4 grid at L = c N_k is first order in lam_k. Its ratio to
+    lam_k W(2 sqrt(xi)) / xi, where W(q) = |int W(y) e^(iqy) dy| of the bump,
+    depends on c alone: across the bump the Prufer radius jumps by
+    (lam / (2 sqrt(xi))) Im(e^(2i theta) W(2 sqrt(xi))) to first order, and
+    that jump weighs [N_k, L] against [0, N_k] differently for xi and zeta.
+    The mean is over 30 xi in [xi0, xi0 (1 + 2e-3)], which turn the bump's
+    phase sqrt(xi) N_k over many periods."""
+
+    Y = np.linspace(0.0, 1.0, 4001)
+    W = np.array([pl.canonical_bump().evaluate(t) for t in Y])
+
+    def bump_transform(self, q):
+        f = self.W * np.exp(1j * q * self.Y)
+        return abs((f.sum() - 0.5 * (f[0] + f[-1])) * (self.Y[1] - self.Y[0]))  # trapezoid
+
+    @pytest.mark.parametrize("xi0", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("c, lo, hi", [(2.0, 0.30, 0.47), (9.9, 0.11, 0.17)], ids=["c2", "c9.9"])
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_mean_error_over_amplitude(self, k, c, lo, hi, xi0):
+        V = cli.canonical_potential().build()
+        assert V.centers[k - 1] == 10.0**k and V.amplitudes[k - 1] == k**-0.25
+        ab = [-2.0 + 0.5 * i for i in range(9)]
+        ratios = []
+        for i in range(30):
+            xi = xi0 * (1.0 + 2e-3 * i / 29)
+            grid = kernel._ratio_grid(V, xi, ab, ab, c * 10.0**k, None)
+            err = max(abs(value - pl.sine_kernel(xi, a, b))
+                      for a, row in zip(ab, grid) for b, value in zip(ab, row))
+            ratios.append(err * xi / (k**-0.25 * self.bump_transform(2.0 * math.sqrt(xi))))
+        assert lo <= sum(ratios) / len(ratios) <= hi

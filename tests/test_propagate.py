@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import pearsonlab as pl
 from pearsonlab import propagate
-from pearsonlab.config import DEFAULTS, Settings
 from pearsonlab.propagate import DeterminantDriftError, _magnus_map
 
-from util import bump_potentials, cell_edge_pairs, monolithic_rk4, one_bump, two_bump
+from util import bump_potentials, cell_edge_pairs, monolithic_rk4, one_bump, strong_train, two_bump
 
 
 class TestFreeTransfer:
@@ -85,6 +84,17 @@ class TestFreeTransfer:
         V = pl.PearsonPotential(pl.canonical_bump(), (0.5,) * 6, (10.0, 400.0, 800.0, 1200.0, 1600.0, 2000.0))
         with pytest.raises(ValueError, match=r"overflows between 0\.0 and 2400\.0") as info:
             call(V)
+        assert "," not in str(info.value)
+
+    @pytest.mark.parametrize("call", [
+        lambda V: pl.neumann_solution(V, 0.01, 470.0),
+        lambda V: pl.transfer_to(V, 0.01, 470.0),
+    ], ids=["neumann", "transfer"])
+    def test_overflowing_real_walk_named(self, call):
+        # a real walk that overflows used to come back as u = du = nan, and
+        # transfer_to died in the determinant check with a NaN drift
+        with pytest.raises(ValueError, match=r"the walk at xi = 0\.01 overflows between 0\.0 and 470\.0") as info:
+            call(strong_train())
         assert "," not in str(info.value)
 
 
@@ -250,7 +260,7 @@ class TestBumpJet:
         # an evaluated jet is unimodular only to rounding
         for xi in pair:
             T = pl.transfer_to(V, complex(xi, t / L), L)
-            assert abs(T.det() - 1.0) <= DEFAULTS.det_tol_per_unit * max(1.0, L)
+            assert abs(T.det() - 1.0) <= propagate.DET_TOL_PER_UNIT * max(1.0, L)
 
     def test_lattice_points(self):
         assert propagate._lattice_point(1.25) == 1.0
@@ -429,7 +439,7 @@ class TestBumpOracle:
         mpmath = pytest.importorskip("mpmath")
         T_ref, D_ref = self.exact(mpmath, lam, xi)
         T, D = (np.array(m).reshape(2, 2) for m in propagate._bump_map(
-            pl.canonical_bump(), lam, xi, 0.0, 1.0, DEFAULTS.steps_per_bump))
+            pl.canonical_bump(), lam, xi, 0.0, 1.0, propagate.STEPS_PER_BUMP))
         assert np.abs(T - T_ref).max() <= tol * np.abs(T_ref).max()
         assert np.abs(D - D_ref).max() <= tol * np.abs(D_ref).max()
 
@@ -522,7 +532,7 @@ class TestNeumannCache:
         V = two_bump()
         propagate._extended_walk.cache_clear()
         a = pl.neumann_solution(V, 0.9, 120.0)
-        b = pl.neumann_solution(V, 0.9, 120.0, steps=DEFAULTS.steps_per_bump)
+        b = pl.neumann_solution(V, 0.9, 120.0, steps=propagate.STEPS_PER_BUMP)
         info = propagate._extended_walk.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         assert b == a
@@ -723,7 +733,7 @@ class TestDeterminantConservation:
                              ids=["neumann", "extended", "phase"])
     def test_walks_enforce_the_budget(self, walk, monkeypatch):
         # the scalar free-gap maps run the same check as TransferMatrix
-        monkeypatch.setattr(propagate, "DEFAULTS", Settings(det_tol_per_unit=-1.0))
+        monkeypatch.setattr(propagate, "DET_TOL_PER_UNIT", -1.0)
         propagate._extended_walk.cache_clear()
         with pytest.raises(DeterminantDriftError):
             walk(two_bump(), 1.37, 64.0)

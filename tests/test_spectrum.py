@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pearsonlab as pl
-from pearsonlab import spectrum
+from pearsonlab import propagate, spectrum
 from pearsonlab.cli import canonical_potential
 
-from util import bump_potentials as _potentials, one_bump, two_bump
+from util import bump_potentials as _potentials, one_bump, strong_train, two_bump
 
 
 def found_potential():
@@ -131,7 +131,7 @@ class TestEigenvaluesNear:
         assert w.n_min > -5
 
     def test_unconverged_polish_raises(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "DEFAULTS", pl.Settings(root_rel_tol=0.0))
+        monkeypatch.setattr(spectrum, "ROOT_REL_TOL", 0.0)
         with pytest.raises(RuntimeError, match="phase index") as info:
             pl.eigenvalues_near(one_bump(0.5, 10.0), 50.0, 1.0, -1, 1)
         assert "," not in str(info.value)
@@ -149,7 +149,7 @@ class TestEigenvaluesNear:
 
     def test_residuals_within_tolerance(self):
         V = one_bump(0.5, 10.0)
-        tol = pl.DEFAULTS.root_rel_tol
+        tol = spectrum.ROOT_REL_TOL
         w = pl.eigenvalues_near(V, 50.0, 1.0, -3, 3)
         assert len(w.iterations) == len(w.residuals) == len(w.values)
         assert all(walks >= 1 for walks in w.iterations)
@@ -187,7 +187,7 @@ class TestWalkCount:
 
 def _assert_tolerance_out_of_reach(V, L, k):
     """The crossing of theta(., L) through pi/2 + k pi sits between two
-    adjacent doubles, and neither meets |u'| <= root_rel_tol * sqrt(xi u^2 + u'^2).
+    adjacent doubles, and neither meets |u'| <= ROOT_REL_TOL * sqrt(xi u^2 + u'^2).
 
     This is what a sharp resonance does: theta jumps by pi over so short a
     stretch of xi that one step in the last bit of xi moves |u'|/r by more
@@ -206,7 +206,7 @@ def _assert_tolerance_out_of_reach(V, L, k):
         mid = 0.5 * (lo + hi)
     for x in (lo, hi):
         s = pl.neumann_solution(V, x, L)
-        assert abs(s.du) > pl.DEFAULTS.root_rel_tol * math.sqrt(x * s.u**2 + s.du**2)
+        assert abs(s.du) > spectrum.ROOT_REL_TOL * math.sqrt(x * s.u**2 + s.du**2)
 
 
 _XI = st.floats(1e-3, 4.0)
@@ -255,6 +255,53 @@ class TestPhaseSlopeProperties:
     def test_free_slope_closed_form(self, xi, L):
         _, slope, _ = spectrum._phase_walk(pl.zero_potential(), xi, L, 512)
         assert slope == pytest.approx(L / (2.0 * math.sqrt(xi)), rel=1e-13)
+
+
+class TestPhaseRescaling:
+    """_phase_walk scales its pair by a power of two once |(u, u')| leaves
+    (2^-64, 2^64). On strong_train at xi = 0.01, where the pair grows past
+    2^64, the scaling changes no bit of (theta, slope, cos theta), and at
+    x = 300 it keeps the slope finite where xi u^2 + u'^2 overflows."""
+
+    @staticmethod
+    def unscaled_walk(V, xi, L):
+        """The fold of _phase_walk without the rescaling, and the final u."""
+        s = math.sqrt(xi)
+        sigma = max(1.0, s)
+        theta = 0.5 * math.pi
+        u, du, v, dv = 1.0, 0.0, 0.0, 0.0
+        for (a, b, c, d), (e, f, g, h), length, w in propagate._piece_maps(V, xi, 0.0, L, 512):
+            v, dv = (a * v + b * dv) + (e * u + f * du), (c * v + d * dv) + (g * u + h * du)
+            u, du = a * u + b * du, c * u + d * du
+            if w is None:
+                theta += s * length
+            else:
+                guess = (spectrum._rescale_angle(theta, s, sigma)
+                         + ((sigma * sigma + xi) * length - w) / (2.0 * sigma))
+                phi = guess + math.remainder(math.atan2(sigma * u, du) - guess, 2.0 * math.pi)
+                theta = spectrum._rescale_angle(phi, sigma, s)
+        r2 = xi * u * u + du * du
+        return (theta, (0.5 * u * du / s + s * (du * v - u * dv)) / r2, du / math.sqrt(r2)), u
+
+    @pytest.mark.parametrize("L", [100.0, 200.0])
+    def test_rescaling_changes_no_bit(self, L):
+        want, u = self.unscaled_walk(strong_train(), 0.01, L)
+        assert abs(u) > 2.0**64
+        assert spectrum._phase_walk(strong_train(), 0.01, L, 512) == want
+
+    def test_slope_stays_finite_past_the_overflow(self):
+        V, xi, L = strong_train(), 0.01, 300.0
+        (_, slope, _), _ = self.unscaled_walk(V, xi, L)
+        assert math.isnan(slope)
+        _, slope, cos_theta = spectrum._phase_walk(V, xi, L, 512)
+
+        def central(h):
+            return (pl.phase(V, xi + h, L) - pl.phase(V, xi - h, L)) / (2.0 * h)
+
+        h = 1e-5 * xi
+        assert slope == pytest.approx((4.0 * central(0.5 * h) - central(h)) / 3.0, rel=1e-6)
+        assert slope == pytest.approx(7.1659, rel=1e-4)
+        assert 0.0 < cos_theta < 1.0
 
 
 class TestClockStatistics:

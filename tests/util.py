@@ -17,6 +17,13 @@ def two_bump() -> pl.PearsonPotential:
     return pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25), (10.0, 100.0))
 
 
+def strong_train() -> pl.PearsonPotential:
+    """150 bumps of amplitude 40, 3 apart from 10. At xi = 0.01 the real
+    Neumann pair grows past 2^64 by x = 100 and to about 5.8e201 at 300,
+    where products of its entries overflow; by x = 470 it is NaN."""
+    return pl.PearsonPotential(pl.canonical_bump(), (40.0,) * 150, tuple(10.0 + 3 * i for i in range(150)))
+
+
 @st.composite
 def bump_potentials(draw):
     """One or two canonical bumps, lambda in [-6, 40], inside [0, 200]."""
