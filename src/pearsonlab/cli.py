@@ -105,7 +105,7 @@ class ExperimentConfig:
             raise ConfigError("depth must be at least 1")
         if self.kind in ("dos", "hatn"):
             lo, hi = self.interval
-            if not 0 < lo < hi < np.inf:
+            if not (0 < lo <= hi < np.inf and (lo < hi or self.kind == "hatn")):
                 raise ConfigError("interval must be inside (0, inf)")
         if self.kind == "hatn" and not 0 <= self.ab_bound < np.inf:
             raise ConfigError("ab_bound must be non-negative and finite")

@@ -198,8 +198,8 @@ def cd_quadrature(
     for seg in segments(V, 0.0, L):
         if seg[0] == "free":
             _, a, b = seg
-            (p11, p12, p21, p22), _ = _free_maps(xi, a, b)
-            (q11, q12, q21, q22), _ = _free_maps(zeta, a, b)
+            (p11, p12, p21, p22), _ = _free_maps(xi, w1, a, b)
+            (q11, q12, q21, q22), _ = _free_maps(zeta, w2, a, b)
             try:
                 acc = acc + _gap_overlap(u1, d1, w1, u2, d2, w2, b - a)
             except OverflowError:

@@ -207,7 +207,7 @@ def empirical_hat_N(
     if xi_points < 1:
         raise ValueError("xi_points must be at least 1")
 
-    xi_grid = [lo + (hi - lo) * i / (xi_points - 1) for i in range(xi_points)] if xi_points > 1 else [lo]
+    xi_grid = [lo + (hi - lo) * i / max(xi_points - 1, 1) for i in range(xi_points if lo < hi else 1)]
     ab_grid = [-ab_bound + 2.0 * ab_bound * i / (_AB_POINTS - 1) for i in range(_AB_POINTS)]
     Vt = V.truncate(ell)
     targets = [[sine_kernel(xi, a, b) for a in ab_grid for b in ab_grid] for xi in xi_grid]

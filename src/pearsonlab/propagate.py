@@ -7,11 +7,11 @@ exponential of a trace-free matrix, so bump maps keep det = 1 to
 rounding and come with their xi-derivative in closed form; the steps of
 a map are folded together as numpy 4x4 block-triangular products that
 carry T and dT/dxi at once. Two folds walk the one stream of per-piece
-maps (T, dT/dxi) of _piece_maps, which halves bump pieces too strong for
-a Prufer angle to be read off: _fold (propagate_to, transfer_to, the
-extended walk) and the phase walk of spectrum. The stream holds
-each map as a 4-tuple of Python scalars, folded in scalar arithmetic:
-on 2x2 objects numpy's per-call cost outweighs the arithmetic. numpy
+maps (T, dT/dxi) of _piece_maps: _fold (propagate_to, transfer_to, the
+extended walk) and the phase walk of spectrum. It follows one cached plan
+per (V, x0, x1, steps) that halves bump pieces too strong for a Prufer
+angle to be read off, and holds each map as a 4-tuple of Python scalars:
+on 2x2 objects numpy's per-call cost outweighs scalar arithmetic. numpy
 stays where it vectorises, in the Magnus steps and the jets below.
 
 A full-bump map T(xi) is entire in xi (Poschel and Trubowitz 1987). Its
@@ -24,13 +24,13 @@ c_j, and a tail check enforces that c_15 R^15 is at rounding level, so
 one polynomial evaluation gives T and dT/dxi to rounding. The circle
 values fold the Magnus steps as a balanced tree, in bit-reversed step
 order and in place. Partial bump pieces are mapped directly. Jets are
-cached per lattice cell; evaluated maps are not cached per xi, since one
-evaluation is a single small product. Walks have one cache, the extended
-walk of _extended_walk, which serves neumann_solution and
-extended_neumann for real and complex xi alike, so a sweep that revisits
-the same (V, xi, x) propagates it once. Everything here is a pure
-function of immutable inputs; with the lattice fixed it is bitwise
-deterministic for a fixed step configuration, whatever the call order.
+cached per lattice cell; a walk builds the power row of its xi once, and
+each full bump is one product of that row with the bump's jet. Walk results
+have one cache, the extended walk of _extended_walk, which serves
+neumann_solution and extended_neumann for real and complex xi alike, so a
+sweep that revisits the same (V, xi, x) propagates it once. Everything
+here is a pure function of immutable inputs; with the lattice fixed it is
+bitwise deterministic for a fixed step configuration, whatever the call order.
 """
 from __future__ import annotations
 
@@ -189,19 +189,13 @@ def _check_det(ad, bc, x0: float, x1: float) -> None:
         raise DeterminantDriftError(f"|det - 1| = {drift:.3e} over [{x0}, {x1}] exceeds {tol:.3e}")
 
 
-def _free_maps(xi, x0: float, x1: float):
-    """(T, dT/dxi) across a potential-free stretch [x0, x1], in closed form,
-    each as a row-major 4-tuple of scalars; T passes the determinant check.
-    Entries of complex xi grow like exp(|Im sqrt(xi)| (x1 - x0)); where they
-    or their products overflow, ValueError names xi and the stretch."""
-    x0, x1 = float(x0), float(x1)
-    if not (math.isfinite(x0) and math.isfinite(x1)):
-        raise ValueError(f"free transfer endpoints must be finite (got {x0!r} and {x1!r})")
-    if x1 < x0:
-        raise ValueError("free transfer requires x1 >= x0")
-    xi = _as_scalar(xi)
+def _free_maps(xi, s, x0: float, x1: float):
+    """(T, dT/dxi) in closed form across a potential-free [x0, x1], x0 <= x1 floats,
+    at normalised xi, s = sqrt(xi), as row-major 4-tuples; T passes the determinant
+    check. Entries grow like exp(|Im s| (x1 - x0)); ValueError names xi and the
+    stretch where they or their products overflow."""
     d = x1 - x0
-    z = principal_sqrt(xi) * d
+    z = s * d
     try:
         c, sc = _cos(z), sinc(z)
         t12, t21 = d * sc, -xi * d * sc
@@ -218,7 +212,13 @@ def _free_maps(xi, x0: float, x1: float):
 
 def free_transfer(xi, x0: float, x1: float) -> TransferMatrix:
     """Closed-form transfer across a potential-free stretch [x0, x1]."""
-    return TransferMatrix(np.reshape(_free_maps(xi, x0, x1)[0], (2, 2)), float(x0), float(x1))
+    x0, x1 = float(x0), float(x1)
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError(f"free transfer endpoints must be finite (got {x0!r} and {x1!r})")
+    if x1 < x0:
+        raise ValueError("free transfer requires x1 >= x0")
+    xi = _as_scalar(xi)
+    return TransferMatrix(np.reshape(_free_maps(xi, principal_sqrt(xi), x0, x1)[0], (2, 2)), x0, x1)
 
 
 # -- bump maps ---------------------------------------------------------------
@@ -424,15 +424,14 @@ def _bump_jet(profile: BumpProfile, lam: float, steps: int, xi0) -> np.ndarray:
     return coefs
 
 
-def _jet_eval(coefs: np.ndarray, delta):
-    """(T, dT/dxi) of a jet at xi0 + delta, as one product with the powers
-    delta^j and their derivatives j delta^(j-1)."""
+def _jet_powers(delta) -> np.ndarray:
+    """The rows delta^j and j delta^(j-1) whose product with a jet at xi0 gives
+    (T, dT/dxi) at xi0 + delta, each row-major."""
     p = delta ** _POWERS
     P = np.empty((2, _JET_POINTS), dtype=p.dtype)
     P[0], P[1, 0] = p, 0.0
     np.multiply(_POWERS[1:], p[:-1], out=P[1, 1:])
-    out = (P @ coefs).reshape(2, 2, 2)
-    return out[0], out[1]
+    return P
 
 
 def _bump_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, steps: int):
@@ -440,10 +439,10 @@ def _bump_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, steps:
     of one bump: from the bump's jet on the full support, else directly."""
     if _is_full_bump(la, lb):
         xi0 = _lattice_point(xi)
-        T, D = _jet_eval(_bump_jet(profile, float(lam), steps, xi0), xi - xi0)
+        T, D = (_jet_powers(xi - xi0) @ _bump_jet(profile, float(lam), steps, xi0)).tolist()
     else:
-        T, D = _magnus_map(profile, lam, xi, la, lb, steps)
-    return tuple(T.ravel().tolist()), tuple(D.ravel().tolist())
+        T, D = (m.ravel().tolist() for m in _magnus_map(profile, lam, xi, la, lb, steps))
+    return tuple(T), tuple(D)
 
 
 def bump_transfer(
@@ -499,13 +498,29 @@ def segments(V: PearsonPotential, x0: float, x1: float):
 
 
 def _bump_pieces(profile: BumpProfile, lam: float, la: float, lb: float, steps: int):
-    """[la, lb] of one bump as (la, lb, lam int W) pieces, halved while
-    lb - la + |lam| int W >= pi."""
+    """[la, lb] of one bump as (la, lb, lam, lam int W, full) pieces, halved
+    while lb - la + |lam| int W >= pi; full marks the whole support [0, 1]."""
     w = lam * _gauss_samples(profile, la, lb, steps)[3]
     if lb - la + abs(w) < math.pi:
-        return ((la, lb, w),)
+        return ((la, lb, lam, w, _is_full_bump(la, lb)),)
     mid = 0.5 * (la + lb)
     return _bump_pieces(profile, lam, la, mid, steps) + _bump_pieces(profile, lam, mid, lb, steps)
+
+
+@lru_cache(maxsize=256)
+def _plan(V: PearsonPotential, x0: float, x1: float, steps: int) -> tuple:
+    """The pieces of segments(V, x0, x1) as _piece_maps walks them: free gaps
+    (a, b), and the bump pieces of _bump_pieces."""
+    plan = []
+    for seg in segments(V, x0, x1):
+        if seg[0] == "free":
+            plan.append(seg[1:])
+            continue
+        _, a, b, k = seg
+        c, lam = V.centers[k], V.amplitudes[k]
+        la, lb = (0.0, 1.0) if _is_full_bump(a - c, b - c) else (a - c, b - c)
+        plan += _bump_pieces(V.profile, lam, la, lb, steps)
+    return tuple(plan)
 
 
 def _piece_maps(V: PearsonPotential, xi, x0: float, x1: float, steps: int):
@@ -513,23 +528,28 @@ def _piece_maps(V: PearsonPotential, xi, x0: float, x1: float, steps: int):
 
     T and dT/dxi are row-major 4-tuples of Python scalars: the walks fold
     them in scalar arithmetic, several times cheaper than 2 x 2 numpy products.
-    Free gaps are the free pieces of segments(V, x0, x1), with lam int W
-    None. A bump piece of length d is halved until d + |lam| int W < pi.
+    The pieces are those of _plan(V, x0, x1, steps); lam int W is None on
+    free gaps. A bump piece of length d is halved until d + |lam| int W < pi.
     For any xi > 0 and sigma = max(1, sqrt(xi)) the Prufer angle of scale
     sigma then turns across each piece by ((sigma^2 + xi) d - lam int W)/(2 sigma)
     give or take (|sigma^2 - xi| d + |lam| int W)/(2 sigma) < pi/2, so a
-    walker can read its branch off the piece's T; full bumps use the jet.
+    walker can read its branch off the piece's T. A walk forms sqrt(xi) and the
+    jet power row of xi once; each full bump is one product of that row with its jet.
     """
-    for seg in segments(V, x0, x1):
-        if seg[0] == "free":
-            _, a, b = seg
-            yield (*_free_maps(xi, a, b), b - a, None)
-        else:
-            _, a, b, k = seg
-            c, lam = V.centers[k], V.amplitudes[k]
-            la, lb = (0.0, 1.0) if _is_full_bump(a - c, b - c) else (a - c, b - c)
-            for la, lb, w in _bump_pieces(V.profile, lam, la, lb, steps):
-                yield (*_bump_map(V.profile, lam, xi, la, lb, steps), lb - la, w)
+    xi = _as_scalar(xi)
+    s = powers = None
+    for piece in _plan(V, x0, x1, steps):
+        if len(piece) == 2:
+            s = principal_sqrt(xi) if s is None else s
+            yield (*_free_maps(xi, s, *piece), piece[1] - piece[0], None)
+            continue
+        la, lb, lam, w, full = piece
+        if full and powers is None:
+            xi0 = _lattice_point(xi)
+            powers = _jet_powers(xi - xi0)
+        T, D = ((powers @ _bump_jet(V.profile, lam, steps, xi0)).tolist() if full
+                else _bump_map(V.profile, lam, xi, la, lb, steps))
+        yield tuple(T), tuple(D), lb - la, w
 
 
 def _fold(V: PearsonPotential, xi, x0: float, x1: float, steps: int, u, du):

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from pearsonlab.cli import HEADERS, SCHEMA_LINE, main
+import pearsonlab as pl
+from pearsonlab.cli import HEADERS, SCHEMA_LINE, canonical_potential, main
 
 
 def read_csv(path):
@@ -496,6 +497,25 @@ class TestHatnCommand:
         assert header == HEADERS["hatn"]
         assert rows[0][6] == "ok"
         assert float(rows[0][5]) == 8.0
+
+    def test_one_point_window(self, tmp_path):
+        # a window of one xi is a valid search, as empirical_hat_N takes lo == hi:
+        # 8 on the canonical potential at ell = 1
+        out = tmp_path / "hatn.csv"
+        cfg = tmp_path / "canonical.cfg"
+        cfg.write_text(pl.format_potential_config(canonical_potential()))
+        code = main([
+            "hatn", "--config", str(cfg), "--ell", "1", "--tolerance", "0.5",
+            "--window", "1,1", "--ab-bound", "1", "--out", str(out),
+        ])
+        assert code == 0
+        _, rows = read_csv(str(out))
+        assert rows == [["1", "0.5", "1", "1", "1", "8", "ok"]]
+
+    def test_one_point_dos_interval_rejected(self, tmp_path, capsys):
+        code = main(["dos", "--interval", "2,2", "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: interval must be inside (0, inf)\n"
 
     def test_unreachable_tolerance_fails_with_row(self, tmp_path):
         out = tmp_path / "hatn.csv"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pearsonlab as pl
-from pearsonlab import cli, kernel, propagate
+from pearsonlab import cli, kernel, propagate, spectrum
 
 from util import (
     bump_potentials, cell_edge_pairs, free_kernel, free_kernel_ratio, one_bump, sinc, strong_train,
@@ -544,12 +544,13 @@ class TestRatioGrid:
 
 class TestGridWalks:
     """Walks behind the grid users, counted by wrapping the walkers: every
-    walk that misses the caches folds one _piece_maps stream, and every
-    call from kernel into the cached walk is one lookup."""
+    walk that misses the caches folds one _piece_maps stream, every call
+    from kernel into the cached walk is one lookup, and walks to the same
+    length share one plan, so one segments partition."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"_piece_maps": 0, "propagate_to": 0, "truncate": 0, "lookups": 0}
+        calls = {"_piece_maps": 0, "segments": 0, "propagate_to": 0, "truncate": 0, "lookups": 0}
 
         def counting(owner, name, key=None):
             original = getattr(owner, name)
@@ -561,10 +562,12 @@ class TestGridWalks:
             monkeypatch.setattr(owner, name, wrapper)
 
         counting(propagate, "_piece_maps")
+        counting(propagate, "segments")
         counting(propagate, "propagate_to")
         counting(pl.PearsonPotential, "truncate")
         counting(kernel, "_extended_walk", "lookups")
         propagate._extended_walk.cache_clear()
+        propagate._plan.cache_clear()
         return calls
 
     def test_cli_kernel_task_walks_each_argument_once(self, calls):
@@ -576,7 +579,7 @@ class TestGridWalks:
         rows = cli._kernel_rows(V, 1e4, 1.0, ab, ab, None)
         assert len(rows) == 81 and all(row[-1] == "ok" for row in rows)
         assert calls.pop("lookups") == 9
-        assert calls == {"_piece_maps": 9, "propagate_to": 0, "truncate": 0}
+        assert calls == {"_piece_maps": 9, "segments": 1, "propagate_to": 0, "truncate": 0}
 
     def test_hat_n_search_truncates_once(self, calls):
         # the answer 32 is settled after trials 8 to 128: trial 8 fails on
@@ -586,7 +589,24 @@ class TestGridWalks:
         V = cli.canonical_potential().build()
         assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
         assert calls.pop("lookups") == 105
-        assert calls == {"_piece_maps": 105, "propagate_to": 0, "truncate": 1}
+        assert calls == {"_piece_maps": 105, "segments": 5, "propagate_to": 0, "truncate": 1}
+
+    def test_one_point_window_checks_one_xi(self, calls):
+        # a window with lo == hi is one xi, whatever xi_points is: the answer 8
+        # is settled by lengths 8, 16 and 32, one grid of 5 shifted arguments each
+        V = cli.canonical_potential().build()
+        assert pl.empirical_hat_N(V, 1, 0.5, (1.0, 1.0), 1.0) == 8.0
+        assert calls.pop("lookups") == 15
+        assert calls == {"_piece_maps": 15, "segments": 3, "propagate_to": 0, "truncate": 1}
+
+    def test_clock_walks_share_one_plan(self, calls, monkeypatch):
+        # every Newton and bisection walk of the clock is a phase walk from 0 to L
+        walks, phase_walk = [], spectrum._phase_walk
+        monkeypatch.setattr(spectrum, "_phase_walk", lambda *args: walks.append(args) or phase_walk(*args))
+        V = cli.canonical_potential().build()
+        assert len(pl.clock_statistics(V, 1e5, 1.0, 6).statistics) == 12
+        assert len(walks) == 40
+        assert calls == {"_piece_maps": 0, "segments": 1, "propagate_to": 0, "truncate": 0, "lookups": 0}
 
     def test_cli_kernel_rows_are_the_per_pair_rows(self):
         # 0.5 + 5e-7 against 0.5 is a near-diagonal pair at L = 1e4 (the

@@ -271,8 +271,8 @@ class TestBumpJet:
     def test_neighbouring_jets_agree_on_the_cell_edge(self):
         profile, b = pl.canonical_bump(), 1.25
         for lam in (1.0, 40.0):
-            lo = propagate._jet_eval(propagate._bump_jet(profile, lam, 512, 1.0), b - 1.0)
-            hi = propagate._jet_eval(propagate._bump_jet(profile, lam, 512, 1.5), b - 1.5)
+            lo = (propagate._jet_powers(b - 1.0) @ propagate._bump_jet(profile, lam, 512, 1.0)).reshape(2, 2, 2)
+            hi = (propagate._jet_powers(b - 1.5) @ propagate._bump_jet(profile, lam, 512, 1.5)).reshape(2, 2, 2)
             for x, y in zip(lo, hi):
                 assert np.abs(x - y).max() <= 1e-13 * np.abs(x).max()
 
@@ -473,6 +473,84 @@ class TestBumpSplit:
         assert bumps == [1.0] * sum(c < L for c in V.centers)
 
 
+def _segment_stream(V, xi, x0, x1, steps=512):
+    """The piece stream as walked without a plan: segments, each bump support
+    halved afresh, and sqrt(xi) per gap and a jet power row per full bump
+    (_bump_map) formed piece by piece."""
+
+    def halves(lam, la, lb):
+        w = lam * propagate._gauss_samples(V.profile, la, lb, steps)[3]
+        if lb - la + abs(w) < math.pi:
+            return [(la, lb, w)]
+        mid = 0.5 * (la + lb)
+        return halves(lam, la, mid) + halves(lam, mid, lb)
+
+    xi = propagate._as_scalar(xi)
+    for seg in pl.segments(V, x0, x1):
+        if seg[0] == "free":
+            _, a, b = seg
+            yield (*propagate._free_maps(xi, pl.principal_sqrt(xi), a, b), b - a, None)
+        else:
+            _, a, b, k = seg
+            c, lam = V.centers[k], V.amplitudes[k]
+            la, lb = (0.0, 1.0) if propagate._is_full_bump(a - c, b - c) else (a - c, b - c)
+            for la, lb, w in halves(lam, la, lb):
+                yield (*propagate._bump_map(V.profile, lam, xi, la, lb, steps), lb - la, w)
+
+
+def _reprs(stream):
+    """repr of every entry of a piece stream, or the error it raises."""
+    try:
+        return [repr(piece) for piece in stream]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestPiecePlan:
+    """_piece_maps reads its layout off the cached _plan and forms sqrt(xi) and
+    the jet power row once per walk; its stream is the segment stream, bit for bit."""
+
+    # 20 bumps of amplitude 40, 3 apart from 10: every support is halved
+    STRONG = pl.PearsonPotential(pl.canonical_bump(), (40.0,) * 20, tuple(10.0 + 3 * i for i in range(20)))
+    # canonical: from 0, ends inside a bump, starts before or inside one
+    CANONICAL_SPANS = [(0.0, 1e2), (0.0, 1e4), (0.0, 1e5), (0.0, 100.5), (50.0, 1000.25), (100.5, 2e4)]
+    CANONICAL_XI = [0.3, 1.0, 2.9, complex(1.0, 0.05), complex(0.8, -0.3)]
+    # strong: past every bump, ends inside one, starts inside one, no bump, empty,
+    # one support, inside one support, ends on a support edge, ends just short of one
+    STRONG_SPANS = [(0.0, 70.0), (0.0, 28.5), (11.25, 60.0), (0.0, 5.0), (40.0, 40.0),
+                    (10.0, 11.0), (10.5, 10.75), (0.0, 13.0), (1.0, 45.999999)]
+    STRONG_XI = [0.3, 1.0, complex(1.0, 0.05)]
+
+    def test_stream_equals_segment_stream(self):
+        from pearsonlab.cli import canonical_potential
+
+        canonical = canonical_potential().build()
+        cases = [(canonical, xi, span) for span in self.CANONICAL_SPANS for xi in self.CANONICAL_XI]
+        cases += [(self.STRONG, xi, span) for span in self.STRONG_SPANS for xi in self.STRONG_XI]
+        assert len(cases) == 57
+        pieces = 0
+        for V, xi, (x0, x1) in cases:
+            want = _reprs(_segment_stream(V, xi, x0, x1))
+            assert _reprs(propagate._piece_maps(V, xi, x0, x1, 512)) == want, (xi, x0, x1)
+            pieces += len(want) if isinstance(want, list) else 0
+        assert pieces > 1000
+        # a complex walk that overflows names the same gap either way
+        want = "ValueError: the free transfer at xi = (1+0.5j) overflows across [1001.0, 10000.0]"
+        assert _reprs(_segment_stream(canonical, 1 + 0.5j, 0.0, 1e4)) == want
+        assert _reprs(propagate._piece_maps(canonical, 1 + 0.5j, 0.0, 1e4, 512)) == want
+
+    @pytest.mark.parametrize("x0, x1", [(0.0, math.nan), (-math.inf, 5.0), (0.0, math.inf), (5.0, 1.0)])
+    def test_plan_rejects_what_segments_rejects(self, x0, x1):
+        V = self.STRONG
+        with pytest.raises(ValueError) as want:
+            pl.segments(V, x0, x1)
+        cached = propagate._plan.cache_info().currsize
+        with pytest.raises(ValueError) as got:
+            propagate._plan(V, x0, x1, 512)
+        assert str(got.value) == str(want.value)
+        assert propagate._plan.cache_info().currsize == cached  # errors are not cached
+
+
 def _numpy_fold(V, xi, x):
     """(T, dT/dxi) of V from 0 to x as products of 2 x 2 numpy arrays:
     free_transfer and the _free_maps derivative on gaps, bump_transfer and the
@@ -482,14 +560,14 @@ def _numpy_fold(V, xi, x):
     for seg in pl.segments(V, 0.0, x):
         if seg[0] == "free":
             P = pl.free_transfer(xi, *seg[1:]).entries
-            dP = np.reshape(propagate._free_maps(xi, *seg[1:])[1], (2, 2))
+            dP = np.reshape(propagate._free_maps(xi, pl.principal_sqrt(xi), *seg[1:])[1], (2, 2))
         else:
             _, a, b, k = seg
             c, lam = V.centers[k], V.amplitudes[k]
             if propagate._is_full_bump(a - c, b - c):
                 P = pl.bump_transfer(V.profile, lam, xi).entries
                 xi0 = propagate._lattice_point(xi)
-                dP = propagate._jet_eval(propagate._bump_jet(V.profile, lam, 512, xi0), xi - xi0)[1]
+                dP = (propagate._jet_powers(xi - xi0) @ propagate._bump_jet(V.profile, lam, 512, xi0))[1].reshape(2, 2)
             else:
                 P, dP = _magnus_map(V.profile, lam, xi, a - c, b - c, 512)
         T, D = P @ T, P @ D + dP @ T
