@@ -28,10 +28,9 @@ from .propagate import (
     _as_scalar,
     _extended_walk,
     _free_maps,
-    _is_full_bump,
+    _plan,
     _steps_or_default,
     principal_sqrt,
-    segments,
     sinc,
     vercosc,
 )
@@ -178,10 +177,11 @@ def cd_quadrature(
 ) -> KernelEvaluation:
     """Kernel by a running integral carried through the propagation.
 
-    Free gaps contribute closed-form trig product integrals; across bumps
-    the integral rides along as a fifth component of a classical RK4
+    It walks the pieces of the cached plan that the other routes walk. Free
+    gaps contribute closed-form trig product integrals; across each bump
+    piece the integral rides along as a fifth component of a classical RK4
     system. This is the reference route: its integrator is independent of
-    the Magnus bump maps that the other routes walk.
+    the Magnus bump maps that the other routes fold.
     """
     steps = _steps_or_default(steps)
     if not L > 0.0:
@@ -195,9 +195,9 @@ def cd_quadrature(
     u1, d1 = (1.0 + 0.0j, 0.0 + 0.0j) if is_complex else (1.0, 0.0)
     u2, d2 = u1, d1
     acc = 0.0 + 0.0j if is_complex else 0.0
-    for seg in segments(V, 0.0, L):
-        if seg[0] == "free":
-            _, a, b = seg
+    for piece in _plan(V, 0.0, float(L), steps):
+        if len(piece) == 2:
+            a, b = piece
             (p11, p12, p21, p22), _ = _free_maps(xi, w1, a, b)
             (q11, q12, q21, q22), _ = _free_maps(zeta, w2, a, b)
             try:
@@ -207,16 +207,10 @@ def cd_quadrature(
                                  f"overflows on the gap from {a!r} to {b!r}") from None
             u1, d1, u2, d2 = p11 * u1 + p12 * d1, p21 * u1 + p22 * d1, q11 * u2 + q12 * d2, q21 * u2 + q22 * d2
         else:
-            _, a, b, k = seg
-            c = V.centers[k]
-            lam = V.amplitudes[k]
-            la, lb = a - c, b - c
-            if _is_full_bump(la, lb):
-                la, lb = 0.0, 1.0
+            la, lb, lam, _, _ = piece
             nodes, mids, h = _rk4_samples(V.profile, la, lb, steps)
             y = np.array([u1, d1, u2, d2, acc], dtype=dtype)
-            y = _rk4_wsystem(_pair_rhs(lam, xi, zeta), nodes, mids, h, y)
-            u1, d1, u2, d2, acc = y
+            u1, d1, u2, d2, acc = _rk4_wsystem(_pair_rhs(lam, xi, zeta), nodes, mids, h, y)
     value = complex(acc) if is_complex else float(acc)
     if not cmath.isfinite(value):
         raise ValueError(f"the walk at xi = {xi!r} and zeta = {zeta!r} overflows between 0.0 and {float(L)!r}")

@@ -401,9 +401,9 @@ def _circle_values(profile: BumpProfile, lam: float, steps: int, xi0):
 
 
 def _check_tail(coefs: np.ndarray, lam: float, xi0) -> None:
-    """Reject a jet whose last term is not negligible on the circle."""
+    """Reject a jet whose last term is not negligible on the circle (NaN included)."""
     tail = np.abs(coefs[-1]).max() * _JET_RADIUS ** (_JET_POINTS - 1)
-    if tail > _JET_TAIL_TOL * np.abs(coefs[0]).max():
+    if not tail <= _JET_TAIL_TOL * np.abs(coefs[0]).max():
         raise RuntimeError(f"bump map jet did not converge for lam = {lam} around xi0 = {xi0}")
 
 
@@ -434,17 +434,6 @@ def _jet_powers(delta) -> np.ndarray:
     return P
 
 
-def _bump_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, steps: int):
-    """(T, dT/dxi) as row-major 4-tuples of Python scalars across [la, lb]
-    of one bump: from the bump's jet on the full support, else directly."""
-    if _is_full_bump(la, lb):
-        xi0 = _lattice_point(xi)
-        T, D = (_jet_powers(xi - xi0) @ _bump_jet(profile, float(lam), steps, xi0)).tolist()
-    else:
-        T, D = (m.ravel().tolist() for m in _magnus_map(profile, lam, xi, la, lb, steps))
-    return tuple(T), tuple(D)
-
-
 def bump_transfer(
     profile: BumpProfile, lam: float, xi, steps: int | None = None
 ) -> TransferMatrix:
@@ -454,9 +443,14 @@ def bump_transfer(
     edge for -u'' + lam*W u = xi u; its columns are the Neumann-like and
     Dirichlet-like basis solutions across the bump. It is evaluated from
     the bump's xi-jet, built once per (profile, lam, steps) and lattice
-    cell; the evaluation itself is not cached.
+    cell; the evaluation itself is not cached. A lam that is not finite
+    raises ValueError before any jet is built.
     """
-    T = _bump_map(profile, lam, _as_scalar(xi), 0.0, 1.0, _steps_or_default(steps))[0]
+    xi, lam, steps = _as_scalar(xi), float(lam), _steps_or_default(steps)
+    if not math.isfinite(lam):
+        raise ValueError(f"bump amplitude must be finite (got lam = {lam!r})")
+    xi0 = _lattice_point(xi)
+    T = (_jet_powers(xi - xi0) @ _bump_jet(profile, lam, steps, xi0))[0]
     return TransferMatrix(np.reshape(T, (2, 2)), 0.0, 1.0)
 
 
@@ -548,7 +542,7 @@ def _piece_maps(V: PearsonPotential, xi, x0: float, x1: float, steps: int):
             xi0 = _lattice_point(xi)
             powers = _jet_powers(xi - xi0)
         T, D = ((powers @ _bump_jet(V.profile, lam, steps, xi0)).tolist() if full
-                else _bump_map(V.profile, lam, xi, la, lb, steps))
+                else (m.ravel().tolist() for m in _magnus_map(V.profile, lam, xi, la, lb, steps)))
         yield tuple(T), tuple(D), lb - la, w
 
 

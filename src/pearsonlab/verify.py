@@ -59,14 +59,16 @@ def transfer_norm_sup(m: float, x_grid: Sequence[float], t_grid: Sequence[float]
     Scans xi in [1/m, m] (17-point geometric grid), x in x_grid and
     |t| <= 1 in t_grid, evaluating T(xi + i t/x) from 0 to x.
     """
-    if m < 1:
-        raise ValueError("the interval parameter m must be at least 1")
+    if not 1 <= m < math.inf:
+        raise ValueError(f"the interval parameter m must be finite and at least 1 (got {m!r})")
     xi_grid = [1.0] if m == 1 else list(np.geomspace(1.0 / m, m, _XI_POINTS))
     worst = 0.0
     for t in t_grid:
-        if abs(t) > 1.0:
-            raise ValueError("strip parameter |t| must be at most 1")
+        if not abs(t) <= 1.0:
+            raise ValueError(f"strip parameter |t| must be at most 1 (got {t!r})")
         for x in x_grid:
+            if not 0.0 < x < math.inf:
+                raise ValueError(f"strip length x must be positive and finite (got {x!r})")
             for xi in xi_grid:
                 arg = xi + 1j * t / x if t != 0.0 else xi
                 worst = max(worst, _norm2(free_transfer(arg, 0.0, x).entries))
@@ -221,13 +223,19 @@ def probe_truncation_step(
     )
 
 
+def _check_amplitudes(lambda_seq: Sequence[float]) -> None:
+    if bad := [lam for lam in lambda_seq if not math.isfinite(lam)]:
+        raise ValueError(f"amplitudes must be finite (got {bad[0]!r})")
+
+
 def staircase_m(lambda_seq: Sequence[float], *, m_max: int = 4) -> list[int]:
     """Nondecreasing interval indices m_n with |lam_n| * m_tilde(m_n)^6 <= 1/m_n.
 
     Greedy staircase: each m_n is the largest feasible index not below its
     predecessor, where feasibility means |lam_n| <= 1/(m * m_tilde(m)^6)
-    with the empirical strip constants.
+    with the empirical strip constants. A non-finite amplitude raises ValueError.
     """
+    _check_amplitudes(lambda_seq)
     out: list[int] = []
     prev = 1
     for lam in lambda_seq:
@@ -246,8 +254,9 @@ def probe_kappa_schedule(lambda_seq: Sequence[float], m_seq: Sequence[int]) -> B
 
     measured is the largest product over the supplied range (pass callers
     hand in the tail they care about); the verdict is "pass" when the
-    product sequence is non-increasing.
+    product sequence is non-increasing. A non-finite amplitude raises ValueError.
     """
+    _check_amplitudes(lambda_seq)
     if len(lambda_seq) != len(m_seq):
         raise ValueError("amplitude and interval sequences must have equal length")
     if len(lambda_seq) == 0:

@@ -608,6 +608,14 @@ class TestGridWalks:
         assert len(walks) == 40
         assert calls == {"_piece_maps": 0, "segments": 1, "propagate_to": 0, "truncate": 0, "lookups": 0}
 
+    def test_reference_walks_share_one_plan(self, calls):
+        # cd_quadrature integrates by RK4 but reads its pieces off the cached
+        # plan of the Magnus walks, so two references to one length share it
+        V = cli.canonical_potential().build()
+        kernel.cd_quadrature(V, 1.0, 1.0, 1e4)
+        kernel.cd_quadrature(V, 0.5, 0.5001, 1e4)
+        assert calls == {"_piece_maps": 0, "segments": 1, "propagate_to": 0, "truncate": 0, "lookups": 0}
+
     def test_cli_kernel_rows_are_the_per_pair_rows(self):
         # 0.5 + 5e-7 against 0.5 is a near-diagonal pair at L = 1e4 (the
         # midpoint reroute), 0.5 against 0.5 an exactly diagonal one, and
@@ -661,3 +669,15 @@ class TestLargeLengthLaw:
                       for a, row in zip(ab, grid) for b, value in zip(ab, row))
             ratios.append(err * xi / (k**-0.25 * self.bump_transform(2.0 * math.sqrt(xi))))
         assert lo <= sum(ratios) / len(ratios) <= hi
+
+    @pytest.mark.parametrize("c, ks, lo, hi", [(2.0, (3, 4, 5), 0.09, 0.16), (9.9, (3, 4), 0.03, 0.06)],
+                             ids=["c2", "c9.9"])
+    def test_clock_deviation_over_amplitude(self, c, ks, lo, hi):
+        # the clock deviation at xi* = 1, depth 3, is first order in lam_k as
+        # well; k = 5 at c = 9.9 (L = 9.9e5) is past the double resolution of
+        # the eigenvalue polish
+        V = cli.canonical_potential().build()
+        for k in ks:
+            assert V.centers[k - 1] == 10.0**k and V.amplitudes[k - 1] == k**-0.25
+            deviation = pl.clock_statistics(V, c * 10.0**k, 1.0, 3).max_deviation
+            assert lo <= deviation / k**-0.25 <= hi, k

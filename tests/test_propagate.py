@@ -153,6 +153,14 @@ class TestBumpTransfer:
         with pytest.raises(ValueError):
             pl.bump_transfer(pl.canonical_bump(), 0.5, 1.0, 8)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, lam):
+        # rejected before any jet is built, so no NaN jet enters the cache
+        propagate._bump_jet.cache_clear()
+        with pytest.raises(ValueError, match=re.escape(f"(got lam = {lam!r})")):
+            pl.bump_transfer(pl.canonical_bump(), lam, 1.0)
+        assert propagate._bump_jet.cache_info().currsize == 0
+
     def test_perturbation_linear_in_amplitude(self):
         # ||A - B|| / |lam| stable across three amplitude decades
         F = pl.free_transfer(1.0, 0.0, 1.0).entries
@@ -239,6 +247,12 @@ _JET_GRID = (
 )
 
 
+def _jet_map(profile, lam, xi, steps=512):
+    """(T, dT/dxi) of the full bump at normalised xi as 2 x 2 arrays, from its jet."""
+    xi0 = propagate._lattice_point(xi)
+    return (propagate._jet_powers(xi - xi0) @ propagate._bump_jet(profile, lam, steps, xi0)).reshape(2, 2, 2)
+
+
 class TestBumpJet:
     """Full-bump maps from the xi-jet against the direct Magnus map."""
 
@@ -248,7 +262,7 @@ class TestBumpJet:
         profile = pl.canonical_bump()
         for xi in _JET_GRID:
             xi = propagate._as_scalar(xi)
-            T, D = (np.array(m).reshape(2, 2) for m in propagate._bump_map(profile, lam, xi, 0.0, 1.0, steps))
+            T, D = _jet_map(profile, lam, xi, steps)
             T_ref, D_ref = _magnus_map(profile, lam, xi, 0.0, 1.0, steps)
             assert T.dtype == T_ref.dtype
             assert np.abs(T - T_ref).max() <= 1e-12 * np.abs(T_ref).max(), xi
@@ -372,6 +386,9 @@ class TestBumpJet:
         message = str(info.value)
         assert "lam = 2.0" in message and "xi0 = 1.5" in message
         assert "," not in message
+        coefs[-1] = math.nan  # a NaN tail is not negligible either
+        with pytest.raises(RuntimeError):
+            propagate._check_tail(coefs, 2.0, 1.5)
 
     def test_clock_builds_few_jets_and_no_direct_full_maps(self, monkeypatch):
         from pearsonlab.cli import canonical_potential
@@ -438,8 +455,7 @@ class TestBumpOracle:
     def test_full_bump_map(self, lam, xi, tol):
         mpmath = pytest.importorskip("mpmath")
         T_ref, D_ref = self.exact(mpmath, lam, xi)
-        T, D = (np.array(m).reshape(2, 2) for m in propagate._bump_map(
-            pl.canonical_bump(), lam, xi, 0.0, 1.0, propagate.STEPS_PER_BUMP))
+        T, D = _jet_map(pl.canonical_bump(), lam, xi, propagate.STEPS_PER_BUMP)
         assert np.abs(T - T_ref).max() <= tol * np.abs(T_ref).max()
         assert np.abs(D - D_ref).max() <= tol * np.abs(D_ref).max()
 
@@ -476,7 +492,7 @@ class TestBumpSplit:
 def _segment_stream(V, xi, x0, x1, steps=512):
     """The piece stream as walked without a plan: segments, each bump support
     halved afresh, and sqrt(xi) per gap and a jet power row per full bump
-    (_bump_map) formed piece by piece."""
+    (_jet_map, else the direct _magnus_map) formed piece by piece."""
 
     def halves(lam, la, lb):
         w = lam * propagate._gauss_samples(V.profile, la, lb, steps)[3]
@@ -495,7 +511,9 @@ def _segment_stream(V, xi, x0, x1, steps=512):
             c, lam = V.centers[k], V.amplitudes[k]
             la, lb = (0.0, 1.0) if propagate._is_full_bump(a - c, b - c) else (a - c, b - c)
             for la, lb, w in halves(lam, la, lb):
-                yield (*propagate._bump_map(V.profile, lam, xi, la, lb, steps), lb - la, w)
+                maps = (_jet_map(V.profile, lam, xi, steps) if propagate._is_full_bump(la, lb)
+                        else _magnus_map(V.profile, lam, xi, la, lb, steps))
+                yield (*(tuple(m.ravel().tolist()) for m in maps), lb - la, w)
 
 
 def _reprs(stream):
@@ -566,8 +584,7 @@ def _numpy_fold(V, xi, x):
             c, lam = V.centers[k], V.amplitudes[k]
             if propagate._is_full_bump(a - c, b - c):
                 P = pl.bump_transfer(V.profile, lam, xi).entries
-                xi0 = propagate._lattice_point(xi)
-                dP = (propagate._jet_powers(xi - xi0) @ propagate._bump_jet(V.profile, lam, 512, xi0))[1].reshape(2, 2)
+                dP = _jet_map(V.profile, lam, xi)[1]
             else:
                 P, dP = _magnus_map(V.profile, lam, xi, a - c, b - c, 512)
         T, D = P @ T, P @ D + dP @ T

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ class TestTransferBoundProbe:
                         inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
                         worst = max(worst, np.linalg.norm(T, 2), np.linalg.norm(inv, 2))
             assert pl.transfer_norm_sup(m, x_grid, t_grid) == pytest.approx(worst, rel=1e-14)
+
+    @pytest.mark.parametrize("m, x, t, bad", [
+        (0.5, 1.0, 0.5, 0.5), (math.inf, 1.0, 0.5, math.inf), (math.nan, 1.0, 0.5, math.nan),
+        (2, 0.0, 0.5, 0.0), (2, -1.0, 0.5, -1.0), (2, math.inf, 0.5, math.inf), (2, math.nan, 0.5, math.nan),
+        (2, 1.0, math.nan, math.nan), (2, 1.0, 1.5, 1.5), (2, 1.0, -math.inf, -math.inf),
+    ])
+    def test_bad_strip_input_rejected(self, m, x, t, bad):
+        # 1 <= m < inf, 0 < x < inf and |t| <= 1, NaN included; the error names the value
+        with pytest.raises(ValueError, match=re.escape(f"(got {bad!r})")):
+            pl.transfer_norm_sup(m, (x,), (t,))
 
 
 class TestOneBumpProbe:
@@ -164,6 +175,16 @@ class TestKappaScheduleProbe:
         assert all(b >= a for a, b in zip(ms, ms[1:]))  # nondecreasing levels
         probe = pl.probe_kappa_schedule(lams, ms)
         assert probe.verdict == "pass"
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, lam):
+        with pytest.raises(ValueError, match=re.escape(f"amplitudes must be finite (got {lam!r})")):
+            pl.probe_kappa_schedule([0.5, lam], [1, 1])
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_staircase_rejects_non_finite_amplitude(self, lam):
+        with pytest.raises(ValueError, match=re.escape(f"amplitudes must be finite (got {lam!r})")):
+            pl.staircase_m([lam, 0.1])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
