@@ -310,22 +310,10 @@ def _execute(tasks, workers: int):
 # -- CSV emission --------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    text = str(v)
-    if "," in text or "\n" in text:
-        raise ValueError(f"CSV fields must not contain commas or newlines: {text!r}")
-    return text
-
-
 @lru_cache(maxsize=64)
 def _template(kinds: tuple) -> str:
-    """The %-template that gives a row of fields of these types _fmt's text."""
+    """The %-template of a row of fields of these types: floats as %.17g,
+    integers (bools among them) as %d, everything else as %s."""
     specs = ("%.17g" if issubclass(k, (float, np.floating))
              else "%d" if issubclass(k, (int, np.integer)) else "%s" for k in kinds)
     return ",".join(specs) + "\n"
@@ -335,8 +323,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
     """Write rows atomically: temp file in the target directory, then rename.
 
     A sweep has many rows and few tuples of field types, so each row is one
-    % with the template of its types, not one _fmt call per field. A line
-    with a field's comma or newline is formatted again by _fmt, which raises.
+    % with the template of its types. A field with a comma or newline raises
+    ValueError, and no file is left.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -347,8 +335,8 @@ def write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 line = _template(tuple(map(type, row))) % tuple(row)
-                if line.count(",") != len(row) - 1 or line.count("\n") != 1:
-                    line = ",".join(map(_fmt, row)) + "\n"
+                if line.count(",") != max(len(row) - 1, 0) or line.count("\n") != 1:
+                    raise ValueError(f"CSV fields must not contain commas or newlines: {row!r}")
                 fh.write(line)
         os.replace(tmp, path)
     except BaseException:

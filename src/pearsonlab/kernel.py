@@ -5,13 +5,13 @@ three mutually checking routes: a running integral carried through the
 propagation ("quadrature"), the boundary formula for distinct arguments
 ("cd_formula"), and the diagonal formula through the xi-derivative pair
 ("accumulated"). _kernel_entry picks the route of every value the module
-returns, from cached walks: arguments closer than t(L) / L, a switch that
-grows like L^(1/3), take the diagonal at their midpoint; cd_quadrature,
-the reference, runs only when a caller asks for it. The normalized ratios
-are evaluated on grids of shifts (_ratio_grid), which look up the walk
-of each distinct shifted argument once; each CLI kernel task and each
-(xi, x) of empirical_hat_N is one grid, and the one-pair functions are
-the 1 x 1 case.
+returns, off the one walk cache (propagate._extended_walk): arguments
+closer than t(L) / L, a switch that grows like L^(1/3), take the diagonal
+at their midpoint; cd_quadrature, the reference, runs only when a caller
+asks for it. The normalized ratios are evaluated on grids of shifts
+(_ratio_grid), which walk each distinct shifted argument once; each CLI
+kernel task and each (xi, x) of empirical_hat_N is one grid, and the
+one-pair functions are the 1 x 1 case.
 """
 from __future__ import annotations
 
@@ -220,29 +220,22 @@ def cd_quadrature(
 # -- routes 2 and 3: boundary data of the cached walks --------------------------
 
 
-def _walk(V: PearsonPotential, z, L: float, steps: int, walks: dict):
-    """z's cached extended walk to L. walks maps each argument looked up so
-    far to its walk; a grid shares it, so each argument is looked up once."""
-    if z not in walks:
-        walks[z] = _extended_walk(V, z, float(L), steps)
-    return walks[z]
-
-
-def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps: int, walks: dict):
+def _kernel_entry(V: PearsonPotential, xi, zeta, L: float, steps: int):
     """S_L(xi, zeta) and its route, the one place a route is chosen: arguments
     closer than t / L, real or complex, take the diagonal formula at their
     midpoint m ("accumulated"), all others the boundary formula ("cd_formula").
     Rounding leaves the boundary formula off by about 0.8 eps L / |b - a| at
     clock separation |b - a| = |xi - zeta| L, and the midpoint diagonal off by
     (b - a)^2 / (24 |m|); these meet at t = (19 |m| eps L)^(1/3), floored at
-    _NEAR_DIAGONAL. cd_quadrature, the reference, is never called. A value
-    that is not finite raises ValueError naming xi, zeta and L."""
+    _NEAR_DIAGONAL. Both read the cached walks of their arguments to the float
+    L; cd_quadrature, the reference, is never called. A value that is not
+    finite raises ValueError naming xi, zeta and L."""
     mid = 0.5 * (xi + zeta)
     if abs(xi - zeta) * L < max(_NEAR_DIAGONAL, (19.0 * abs(mid) * _EPS * L) ** (1.0 / 3.0)):
-        s = _walk(V, _as_scalar(mid), L, steps, walks)
+        s = _extended_walk(V, _as_scalar(mid), L, steps)
         value, route = s.du * s.u_xi - s.du_xi * s.u, "accumulated"
     else:
-        s1, s2 = _walk(V, xi, L, steps, walks), _walk(V, zeta, L, steps, walks)
+        s1, s2 = _extended_walk(V, xi, L, steps), _extended_walk(V, zeta, L, steps)
         value, route = (s1.u * s2.du - s2.u * s1.du) / (xi - zeta), "cd_formula"
     if not cmath.isfinite(value):
         raise ValueError(f"the kernel at xi = {xi!r} and zeta = {zeta!r} overflows at L = {L!r}")
@@ -262,7 +255,7 @@ def cd_formula(
         raise ValueError("the kernel needs L > 0")
     xi = _as_scalar(xi)
     zeta = _as_scalar(zeta)
-    value, method = _kernel_entry(V, xi, zeta, L, _steps_or_default(steps), {})
+    value, method = _kernel_entry(V, xi, zeta, float(L), _steps_or_default(steps))
     return KernelEvaluation(xi, zeta, float(L), value, method)
 
 
@@ -275,7 +268,7 @@ def cd_diagonal(
     xi = _as_scalar(xi)
     if isinstance(xi, complex):
         raise ValueError("the diagonal route is defined for real xi only")
-    value, method = _kernel_entry(V, xi, xi, L, _steps_or_default(steps), {})
+    value, method = _kernel_entry(V, xi, xi, float(L), _steps_or_default(steps))
     return KernelEvaluation(xi, xi, float(L), value, method)
 
 
@@ -295,21 +288,19 @@ def _shifted(xi: float, a_grid, b_grid, x: float):
 def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps, *, kappa=False):
     """S_x(xi + a/x, xi + b/x) / norm for a in a_grid (rows) and b in b_grid.
 
-    norm is S_x(xi, xi), or x * kappa at (xi, x) when kappa is set. The
-    entries and the norm share one lookup of each distinct argument's
-    cached walk, so S_x(xi, xi), kappa (when 0 is a shift) and an exactly
+    norm is S_x(xi, xi), or x * kappa at (xi, x) when kappa is set. Every
+    entry and the norm read the cached walks, so each distinct argument is
+    walked once: S_x(xi, xi), kappa (when 0 is a shift) and an exactly
     diagonal entry read the same walk.
     Entries equal the per-pair cd_formula values over the norm bit for
     bit. The first failure raises.
     """
-    xi = float(xi)
+    xi, x, steps = float(xi), float(x), _steps_or_default(steps)
     if not x > 0.0:
         raise ValueError("the kernel needs L > 0")
     alphas, betas = _shifted(xi, a_grid, b_grid, x)
-    steps, walks = _steps_or_default(steps), {}
-    nums = [[_kernel_entry(V, al, be, x, steps, walks)[0] for be in betas] for al in alphas]
-    den = (x * _kappa_value(V, xi, x, steps, walks) if kappa
-           else _kernel_entry(V, xi, xi, x, steps, walks)[0])
+    nums = [[_kernel_entry(V, al, be, x, steps)[0] for be in betas] for al in alphas]
+    den = x * _kappa_value(V, xi, x, steps) if kappa else _kernel_entry(V, xi, xi, x, steps)[0]
     return [[num / den for num in row] for row in nums]
 
 
@@ -319,20 +310,20 @@ def kernel_ratio(
     """S_L(xi + a/L, xi + b/L) / S_L(xi, xi); a, b may be complex.
 
     The 1 x 1 case of _ratio_grid: the numerator is the cd_formula value,
-    the denominator the cached diagonal at (xi, L). The CLI evaluates a
-    kernel task as one grid and calls this per pair only to record each
-    pair's error when the grid raises.
+    the denominator the diagonal at (xi, L), both off the cached walks. The
+    CLI evaluates a kernel task as one grid and calls this per pair only to
+    record each pair's error when the grid raises.
     """
     return _ratio_grid(V, xi, (a,), (b,), L, steps)[0][0]
 
 
-def _kappa_value(V: PearsonPotential, xi: float, x: float, steps: int, walks: dict) -> float:
+def _kappa_value(V: PearsonPotential, xi: float, x: float, steps: int) -> float:
     """(u^2 + u'^2/xi)/2 of the Neumann pair of V at (xi, x), off xi's cached
-    walk to x in walks; (a1_tilde, a2_tilde) is (u, u'/sqrt(xi)) rotated by
+    walk to the float x; (a1_tilde, a2_tilde) is (u, u'/sqrt(xi)) rotated by
     sqrt(xi) x, so this is (a1_tilde^2 + a2_tilde^2)/2; an overflow raises ValueError."""
     if not xi > 0.0:
         raise ValueError("kappa requires xi > 0")
-    s = _walk(V, xi, x, steps, walks)
+    s = _extended_walk(V, xi, x, steps)
     value = 0.5 * (s.u * s.u + s.du * s.du / xi)
     if not math.isfinite(value):
         raise ValueError(f"kappa at xi = {xi!r} overflows at x = {x!r}")
@@ -347,9 +338,9 @@ def kappa(
     Equals (a1_tilde^2 + a2_tilde^2)/2. Constant in x beyond the last kept
     bump; always strictly positive.
     """
-    xi = float(xi)
-    value = _kappa_value(V.truncate(ell), xi, x, _steps_or_default(steps), {})
-    return Kappa(int(ell), xi, float(x), value)
+    xi, x = float(xi), float(x)
+    value = _kappa_value(V.truncate(ell), xi, x, _steps_or_default(steps))
+    return Kappa(int(ell), xi, x, value)
 
 
 def kappa_ratio(
@@ -380,13 +371,11 @@ def kappa_ratio_gap(
     hi = V.centers[ell + 1]
     if not (lo <= x <= hi):
         raise ValueError(f"x = {x} outside the window [{lo}, {hi}]")
-    xi = float(xi)
+    xi, x, steps = float(xi), float(x), _steps_or_default(steps)
     (alpha,), (beta,) = _shifted(xi, (a,), (b,), x)
-
-    steps = _steps_or_default(steps)
     (s_lo, k_lo), (s_hi, k_hi) = (
-        (_kernel_entry(W, alpha, beta, x, steps, walks)[0], _kappa_value(W, xi, x, steps, walks))
-        for W, walks in ((V.truncate(ell), {}), (V.truncate(ell + 1), {}))
+        (_kernel_entry(W, alpha, beta, x, steps)[0], _kappa_value(W, xi, x, steps))
+        for W in (V.truncate(ell), V.truncate(ell + 1))
     )
 
     r_lo = s_lo / (x * k_lo)

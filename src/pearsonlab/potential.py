@@ -97,6 +97,11 @@ class PearsonPotential:
                     f"|amplitude| must be non-increasing from index {start}: "
                     f"|{amps[n + 1]}| > |{amps[n]}| at index {n + 1}"
                 )
+        # cache keys hash V: once, from the numeric fields, whose hashes agree across processes
+        object.__setattr__(self, "_hash", hash((amps, cents, self.monotone_from)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def bump_count(self) -> int:

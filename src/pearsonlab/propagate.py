@@ -137,6 +137,9 @@ class SolutionState:
     x: float
 
     def __post_init__(self) -> None:
+        for v in (self.u, self.du, self.x):
+            if not cmath.isfinite(v):
+                raise ValueError(f"a solution state must be finite (got {v!r})")
         if self.u == 0 and self.du == 0:
             raise ValueError("(u, u') must not both vanish")
 

@@ -401,6 +401,8 @@ def oracle_eigenvalues(
     this keeps the boundary error at O(h^2). Emits a ResolutionWarning
     when the eigenvalue count disagrees with the phase-based count.
     """
+    if not math.isfinite(cutoff):
+        raise ValueError(f"the oracle cutoff must be finite (got {cutoff!r})")
     from scipy.linalg import eigh_tridiagonal
 
     n = int(grid_points)

@@ -61,6 +61,8 @@ def transfer_norm_sup(m: float, x_grid: Sequence[float], t_grid: Sequence[float]
     """
     if not 1 <= m < math.inf:
         raise ValueError(f"the interval parameter m must be finite and at least 1 (got {m!r})")
+    if not (len(x_grid) and len(t_grid)):
+        raise ValueError(f"the strip grids need points (got {len(x_grid)} x and {len(t_grid)} t points)")
     xi_grid = [1.0] if m == 1 else list(np.geomspace(1.0 / m, m, _XI_POINTS))
     worst = 0.0
     for t in t_grid:
@@ -186,6 +188,8 @@ def probe_truncation_step(
     """
     if ell + 1 > V.bump_count:
         raise ValueError("the truncation probe needs bump ell + 1 to exist")
+    if not len(x_grid):
+        raise ValueError("the truncation probe needs x points (got 0)")
     lo_edge = V.centers[ell]
     hi_edge = V.centers[ell + 1] if ell + 1 < V.bump_count else math.inf
     for x in x_grid:

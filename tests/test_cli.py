@@ -356,17 +356,12 @@ class TestFieldFormat:
         (False, "0"),
         ("error: bad xi", "error: bad xi"),
     ])
-    def test_field_text(self, value, text):
-        from pearsonlab.cli import _fmt
+    def test_field_text(self, value, text, tmp_path):
+        from pearsonlab.cli import write_csv
 
-        assert _fmt(value) == text
-
-    @pytest.mark.parametrize("text", ["a,b", "a\nb"])
-    def test_separators_rejected(self, text):
-        from pearsonlab.cli import _fmt
-
-        with pytest.raises(ValueError, match="must not contain commas or newlines"):
-            _fmt(text)
+        out = tmp_path / "field.csv"
+        write_csv(str(out), ["h"], [[value]])
+        assert out.read_bytes() == f"{SCHEMA_LINE}\nh\n{text}\n".encode()
 
     # every field type a task row can hold, and some that it cannot
     ROWS = [
@@ -380,12 +375,25 @@ class TestFieldFormat:
         (None, 1 + 2j, "50%", "%s %d"),
     ]
 
+    # each row's line, field by field: floats as %.17g, integers and bools as
+    # %d, everything else as str
+    LINES = [
+        "0.10000000000000001,-1e-300,0.10000000149011612,-0,nan,inf,-inf",
+        "1e-300,7,-3,1,0,True,,error: bad xi",
+        "0.10000000000000001,-1e-300,0.10000000149011612,-0,nan,inf,-inf",
+        "2,2,2,2,18446744073709551615,ok",
+        "kernel_ratio,0.5,-2,,,error: shifted arguments must stay in the right",
+        "",
+        "3.5",
+        "None,(1+2j),50%,%s %d",
+    ]
+
     def test_rows_equal_field_by_field_text(self, tmp_path):
-        from pearsonlab.cli import _fmt, write_csv
+        from pearsonlab.cli import write_csv
 
         out = tmp_path / "rows.csv"
         write_csv(str(out), ["h1", "h2"], self.ROWS)
-        lines = [SCHEMA_LINE, "h1,h2"] + [",".join(map(_fmt, row)) for row in self.ROWS]
+        lines = [SCHEMA_LINE, "h1,h2"] + self.LINES
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("text", ["a,b", "a\nb", "a\n"])

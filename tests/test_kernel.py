@@ -544,19 +544,19 @@ class TestRatioGrid:
 
 class TestGridWalks:
     """Walks behind the grid users, counted by wrapping the walkers: every
-    walk that misses the caches folds one _piece_maps stream, every call
-    from kernel into the cached walk is one lookup, and walks to the same
-    length share one plan, so one segments partition."""
+    walk that misses the caches folds one _piece_maps stream, and so is one
+    miss of the one walk cache, _extended_walk; walks to the same length
+    share one plan, so one segments partition."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"_piece_maps": 0, "segments": 0, "propagate_to": 0, "truncate": 0, "lookups": 0}
+        calls = {"_piece_maps": 0, "segments": 0, "propagate_to": 0, "truncate": 0}
 
-        def counting(owner, name, key=None):
+        def counting(owner, name):
             original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls[key or name] += 1
+                calls[name] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
@@ -565,7 +565,6 @@ class TestGridWalks:
         counting(propagate, "segments")
         counting(propagate, "propagate_to")
         counting(pl.PearsonPotential, "truncate")
-        counting(kernel, "_extended_walk", "lookups")
         propagate._extended_walk.cache_clear()
         propagate._plan.cache_clear()
         return calls
@@ -573,22 +572,22 @@ class TestGridWalks:
     def test_cli_kernel_task_walks_each_argument_once(self, calls):
         # seed-0 criterion-4 grid at L = 1e4, xi = 1: 9 distinct shifted
         # arguments, and a = 0 is the walk of the normalisation too; rows,
-        # columns and the norm share one dict of walks, so 9 lookups
+        # columns and the norm share the cached walks, so 9 misses
         ab = [-2.0 + 0.5 * i for i in range(9)]
         V = cli.canonical_potential().build()
         rows = cli._kernel_rows(V, 1e4, 1.0, ab, ab, None)
         assert len(rows) == 81 and all(row[-1] == "ok" for row in rows)
-        assert calls.pop("lookups") == 9
+        assert propagate._extended_walk.cache_info().misses == 9
         assert calls == {"_piece_maps": 9, "segments": 1, "propagate_to": 0, "truncate": 0}
 
     def test_hat_n_search_truncates_once(self, calls):
         # the answer 32 is settled after trials 8 to 128: trial 8 fails on
         # its fifth xi, 16 on its first, and 32, 64 and 128 pass on all 5,
         # so 21 grids of 5 shifted arguments; rows, columns and the kappa
-        # norm share one dict of walks (0 is a shift): 5 lookups per grid
+        # norm share the cached walks (0 is a shift): 5 misses per grid
         V = cli.canonical_potential().build()
         assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
-        assert calls.pop("lookups") == 105
+        assert propagate._extended_walk.cache_info().misses == 105
         assert calls == {"_piece_maps": 105, "segments": 5, "propagate_to": 0, "truncate": 1}
 
     def test_one_point_window_checks_one_xi(self, calls):
@@ -596,7 +595,7 @@ class TestGridWalks:
         # is settled by lengths 8, 16 and 32, one grid of 5 shifted arguments each
         V = cli.canonical_potential().build()
         assert pl.empirical_hat_N(V, 1, 0.5, (1.0, 1.0), 1.0) == 8.0
-        assert calls.pop("lookups") == 15
+        assert propagate._extended_walk.cache_info().misses == 15
         assert calls == {"_piece_maps": 15, "segments": 3, "propagate_to": 0, "truncate": 1}
 
     def test_clock_walks_share_one_plan(self, calls, monkeypatch):
@@ -605,8 +604,8 @@ class TestGridWalks:
         monkeypatch.setattr(spectrum, "_phase_walk", lambda *args: walks.append(args) or phase_walk(*args))
         V = cli.canonical_potential().build()
         assert len(pl.clock_statistics(V, 1e5, 1.0, 6).statistics) == 12
-        assert len(walks) == 40
-        assert calls == {"_piece_maps": 0, "segments": 1, "propagate_to": 0, "truncate": 0, "lookups": 0}
+        assert len(walks) == 40 and propagate._extended_walk.cache_info().misses == 0
+        assert calls == {"_piece_maps": 0, "segments": 1, "propagate_to": 0, "truncate": 0}
 
     def test_reference_walks_share_one_plan(self, calls):
         # cd_quadrature integrates by RK4 but reads its pieces off the cached
@@ -614,7 +613,8 @@ class TestGridWalks:
         V = cli.canonical_potential().build()
         kernel.cd_quadrature(V, 1.0, 1.0, 1e4)
         kernel.cd_quadrature(V, 0.5, 0.5001, 1e4)
-        assert calls == {"_piece_maps": 0, "segments": 1, "propagate_to": 0, "truncate": 0, "lookups": 0}
+        assert propagate._extended_walk.cache_info().misses == 0
+        assert calls == {"_piece_maps": 0, "segments": 1, "propagate_to": 0, "truncate": 0}
 
     def test_cli_kernel_rows_are_the_per_pair_rows(self):
         # 0.5 + 5e-7 against 0.5 is a near-diagonal pair at L = 1e4 (the
@@ -681,3 +681,46 @@ class TestLargeLengthLaw:
             assert V.centers[k - 1] == 10.0**k and V.amplitudes[k - 1] == k**-0.25
             deviation = pl.clock_statistics(V, c * 10.0**k, 1.0, 3).max_deviation
             assert lo <= deviation / k**-0.25 <= hi, k
+
+
+class TestFreeClosedForms:
+    """The free potential at large L against its closed forms, u = cos(sqrt(xi) x)
+    and S_L as a trig integral, evaluated by mpmath at 40 digits on the
+    package's double arguments. The walk forms each free angle sqrt(xi) L in
+    double, so u and the kernel ratio are off by O(eps L), the rounding law
+    that _kernel_entry states; kappa holds to 1e-15 and the count exactly."""
+
+    LENGTHS = [1e4, 1e7, 1e10, 1e12]
+    XIS = [0.5, 1.0, 2.0]
+
+    @staticmethod
+    def kernel(mpmath, xi, zeta, L):
+        # S_L(xi, zeta) = int_0^L cos(s r) cos(t r) dr at s = sqrt(xi), t = sqrt(zeta)
+        s, t = mpmath.sqrt(mpmath.mpf(xi)), mpmath.sqrt(mpmath.mpf(zeta))
+        if xi == zeta:
+            return L / 2 + mpmath.sin(2 * s * L) / (4 * s)
+        return (mpmath.sin((s - t) * L) / (s - t) + mpmath.sin((s + t) * L) / (s + t)) / 2
+
+    @pytest.mark.parametrize("xi", XIS)
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_kappa_and_count(self, L, xi):
+        V = pl.zero_potential()
+        assert abs(pl.kappa(V, 0, xi, L).value - 0.5) <= 1e-15
+        q = math.sqrt(xi) * L / math.pi
+        assert min(q % 1.0, 1.0 - q % 1.0) > 0.09  # the floor below is not a rounding call
+        assert pl.eigenvalue_count(V, xi, L) == math.floor(q) + 1
+
+    @pytest.mark.parametrize("xi", XIS)
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_solution_and_kernel_ratio(self, L, xi):
+        mpmath = pytest.importorskip("mpmath")
+        V = pl.zero_potential()
+        tol = 4.0 * np.finfo(float).eps * L
+        u = pl.neumann_solution(V, xi, L).u
+        with mpmath.workdps(40):
+            assert abs(u - mpmath.cos(mpmath.sqrt(mpmath.mpf(xi)) * L)) <= tol
+        for a, b in [(0.5, -1.0), (2.0, 1.0), (-2.0, 1.5), (1.0, 1.0)]:
+            got = pl.kernel_ratio(V, xi, a, b, L)
+            with mpmath.workdps(40):
+                want = self.kernel(mpmath, xi + a / L, xi + b / L, L) / self.kernel(mpmath, xi, xi, L)
+                assert abs(got - want) <= tol * abs(want), (a, b)

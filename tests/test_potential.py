@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +12,7 @@ from pearsonlab.potential import (
     format_potential_config,
     parse_potential_config,
 )
+from pearsonlab.propagate import _extended_walk
 
 from util import free_kappa_ratio, one_bump, sinc, two_bump
 
@@ -98,6 +100,19 @@ class TestPearsonPotential:
         assert V.centers == (10.0, 11.0, 12.0)
         with pytest.raises(ValueError, match="overlap"):
             pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25, 0.1), (10.0, 20.0, 20.5))
+
+    def test_equal_potentials_share_one_walk(self):
+        # the hash is taken once, from the numeric fields only, so a pickled copy
+        # (as a worker process receives it) hashes like the original
+        V, W = canonical_potential().build(), canonical_potential().build()
+        copy = pickle.loads(pickle.dumps(V))
+        assert V == W == copy and hash(V) == hash(W) == hash(copy)
+        assert hash(V) == hash((V.amplitudes, V.centers, V.monotone_from))
+        _extended_walk.cache_clear()
+        for U in (V, W, copy):
+            pl.extended_neumann(U, 1.0, 1e3)
+        info = _extended_walk.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_at_most_one_active_bump(self):
         V = two_bump()

@@ -884,11 +884,20 @@ _INF = float("inf")
         lambda: pl.PearsonPotential(pl.canonical_bump(), (_NAN,), (_NAN,)),
         lambda: pl.PearsonPotential(pl.canonical_bump(), (_INF,), (10.0,)),
         lambda: pl.PearsonPotential(pl.canonical_bump(), (0.5,), (_INF,)),
+        lambda: pl.SolutionState(_NAN, 0.0, 0.0),
+        lambda: pl.SolutionState(1.0, 0.0, _INF),
+        lambda: pl.oracle_eigenvalues(_V, 50.0, 200, cutoff=_NAN),
+        # empty grids: a sup over no points is no measurement
+        lambda: pl.transfer_norm_sup(2, (1.0,), ()),
+        lambda: pl.probe_transfer_bound(2, (1.0, 5.0), ()),
+        lambda: pl.probe_transfer_bound(2, (), (0.5,)),
+        lambda: pl.probe_truncation_step(_V, 1, 1.0, ()),
     ],
     ids=[
         "phase-L", "phase-xi", "count-L", "neumann-x", "neumann-xi", "extended-x", "free-x1",
         "transfer-xi", "quadrature-L", "formula-zeta", "potential-nan",
-        "potential-inf-amplitude", "potential-inf-center",
+        "potential-inf-amplitude", "potential-inf-center", "state-u", "state-x",
+        "oracle-cutoff", "norm-sup-t", "transfer-bound-t", "transfer-bound-x", "truncation-x",
     ],
 )
 def test_non_finite_input_rejected(call):
