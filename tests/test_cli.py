@@ -363,6 +363,15 @@ class TestFieldFormat:
         write_csv(str(out), ["h"], [[value]])
         assert out.read_bytes() == f"{SCHEMA_LINE}\nh\n{text}\n".encode()
 
+    @pytest.mark.parametrize("text", ["a,b", "a\nb"])
+    def test_separators_rejected(self, text, tmp_path):
+        from pearsonlab.cli import write_csv
+
+        out = tmp_path / "field.csv"
+        with pytest.raises(ValueError, match="must not contain commas or newlines"):
+            write_csv(str(out), ["h"], [[text]])
+        assert not out.exists()
+
     # every field type a task row can hold, and some that it cannot
     ROWS = [
         [0.1, np.float64(-1e-300), np.float32(0.1), -0.0, math.nan, math.inf, -math.inf],
