@@ -16,21 +16,26 @@ stays where it vectorises, in the Magnus steps and the jets below.
 
 A full-bump map T(xi) is entire in xi (Poschel and Trubowitz 1987). Its
 Taylor coefficients in xi - xi0 up to degree 15 (the bump's jet) are read
-off T at N = 16 points on the circle |xi - xi0| = R = 1/2 by a fixed
+off T at N = 16 points on the circle |xi - xi0| = R = 8 by a fixed
 16 x 16 DFT (Lyness and Moler 1967), around centers xi0 on a fixed
-lattice of spacing 1/2 in Re xi and Im xi (real for real xi). Every xi
-lies within 0.354 < R of its center, aliasing adds only c_(j+N) R^N to
-c_j, and a tail check enforces that c_15 R^15 is at rounding level, so
-one polynomial evaluation gives T and dT/dxi to rounding. The circle
-values fold the Magnus steps as a balanced tree, in bit-reversed step
-order and in place. Partial bump pieces are mapped directly. Jets are
-cached per lattice cell; a walk builds the power row of its xi once, and
-each full bump is one product of that row with the bump's jet. Walk results
-have one cache, the extended walk of _extended_walk, which serves
-neumann_solution and extended_neumann for real and complex xi alike, so a
-sweep that revisits the same (V, xi, x) propagates it once. Everything
-here is a pure function of immutable inputs; with the lattice fixed it is
-bitwise deterministic for a fixed step configuration, whatever the call order.
+lattice of spacing 8 in Re xi and Im xi (real for real xi): the cell of
+xi0 = 0 holds every Re xi <= 4 with |Im xi| < 4. Every xi lies within
+5.66 < R of its center (a real xi within R/2), aliasing adds only
+c_(j+N) R^N to c_j, and a tail check enforces that c_15 R^15 is at
+rounding level, so one polynomial evaluation gives T and dT/dxi to
+rounding. The coefficients fall off like 1/(2j)! (c_15 R^15 is about
+1e-19 for cos sqrt(xi)), and for |lam| up to the full-bump bound 5.57
+max |T| on the circle stays in the tens, so the DFT rounds by a few ulps
+of it. The circle values fold the Magnus steps as a balanced tree, in
+bit-reversed step order and in place. Partial bump pieces are mapped
+directly. Jets are cached per lattice cell; a walk builds the power row
+of its xi once, and each full bump is one product of that row with the
+bump's jet. Walk results have one cache, the extended walk of
+_extended_walk, which serves neumann_solution and extended_neumann for
+real and complex xi alike, so a sweep that revisits the same (V, xi, x)
+propagates it once. Everything here is a pure function of immutable
+inputs; with the lattice fixed it is bitwise deterministic for a fixed
+step configuration, whatever the call order.
 """
 from __future__ import annotations
 
@@ -325,8 +330,8 @@ def _magnus_map(profile: BumpProfile, lam: float, xi, la: float, lb: float, step
 
 
 # Full-bump jets; the module docstring justifies these constants.
-_JET_SPACING = 0.5  # lattice spacing of the centers xi0, along Re xi and Im xi
-_JET_RADIUS = 0.5  # R, radius of the circle the coefficients are read from
+_JET_SPACING = 8.0  # lattice spacing of the centers xi0, along Re xi and Im xi
+_JET_RADIUS = 8.0  # R, radius of the circle the coefficients are read from
 _JET_POINTS = 16  # N, points on the circle and terms of the polynomial
 _JET_TAIL_TOL = 1e-12  # largest accepted |c_(N-1)| R^(N-1) / max |c_0|
 _ROOTS = [cmath.exp(2j * math.pi * k / _JET_POINTS) for k in range(_JET_POINTS)]
@@ -337,7 +342,7 @@ _DFT = np.array([[_ROOTS[-j * k % _JET_POINTS] / (_JET_POINTS * _JET_RADIUS**j)
 
 
 def _lattice_point(xi):
-    """The jet center nearest to xi; real while |Im xi| < 1/4."""
+    """The jet center nearest to xi; real while |Im xi| < 4."""
     re = _JET_SPACING * round(xi.real / _JET_SPACING)
     im = _JET_SPACING * round(xi.imag / _JET_SPACING)
     return complex(re, im) if im else re

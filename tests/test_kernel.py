@@ -452,8 +452,8 @@ _STRIP_T = st.floats(-1.0, 1.0)  # imaginary parts t/L, as on criterion 8's stri
 
 class TestKernelProperties:
     """Symmetries and Cauchy-Schwarz of S_L for arguments in neighbouring
-    xi-jet cells, so the two solutions come from different bump jets; below
-    L = 4 a strip point's imaginary part reaches a complex jet center."""
+    xi-jet cells, so the two solutions come from different bump jets; a
+    strip point's imaginary part t/L stays below 1, inside a real cell."""
 
     @settings(max_examples=12, derandomize=True, deadline=None)
     @given(bump_potentials(), cell_edge_pairs(), _STRIP_T, _STRIP_T, _PAIR_L)
@@ -546,7 +546,8 @@ class TestGridWalks:
     """Walks behind the grid users, counted by wrapping the walkers: every
     walk that misses the caches folds one _piece_maps stream, and so is one
     miss of the one walk cache, _extended_walk; walks to the same length
-    share one plan, so one segments partition."""
+    share one plan, so one segments partition. Every desk-scale xi lies in
+    the jet cell centred at 0, so a run builds one jet per bump amplitude."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -567,6 +568,7 @@ class TestGridWalks:
         counting(pl.PearsonPotential, "truncate")
         propagate._extended_walk.cache_clear()
         propagate._plan.cache_clear()
+        propagate._bump_jet.cache_clear()
         return calls
 
     def test_cli_kernel_task_walks_each_argument_once(self, calls):
@@ -580,6 +582,15 @@ class TestGridWalks:
         assert propagate._extended_walk.cache_info().misses == 9
         assert calls == {"_piece_maps": 9, "segments": 1, "propagate_to": 0, "truncate": 0}
 
+    def test_criterion_4_rows_build_one_jet_per_bump(self, calls):
+        # the bumps at 10, 100 and 1000 have three amplitudes; every xi of
+        # the grid, shifts included, reads the jets of one lattice cell
+        ab = [-2.0 + 0.5 * i for i in range(9)]
+        V = cli.canonical_potential().build()
+        for xi in (0.5, 1.0, 2.0):
+            cli._kernel_rows(V, 1e4, xi, ab, ab, None)
+        assert propagate._bump_jet.cache_info().misses == 3
+
     def test_hat_n_search_truncates_once(self, calls):
         # the answer 32 is settled after trials 8 to 128: trial 8 fails on
         # its fifth xi, 16 on its first, and 32, 64 and 128 pass on all 5,
@@ -588,6 +599,7 @@ class TestGridWalks:
         V = cli.canonical_potential().build()
         assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
         assert propagate._extended_walk.cache_info().misses == 105
+        assert propagate._bump_jet.cache_info().misses == 1
         assert calls == {"_piece_maps": 105, "segments": 5, "propagate_to": 0, "truncate": 1}
 
     def test_one_point_window_checks_one_xi(self, calls):
@@ -605,6 +617,7 @@ class TestGridWalks:
         V = cli.canonical_potential().build()
         assert len(pl.clock_statistics(V, 1e5, 1.0, 6).statistics) == 12
         assert len(walks) == 40 and propagate._extended_walk.cache_info().misses == 0
+        assert propagate._bump_jet.cache_info().misses == 4
         assert calls == {"_piece_maps": 0, "segments": 1, "propagate_to": 0, "truncate": 0}
 
     def test_reference_walks_share_one_plan(self, calls):

@@ -231,19 +231,19 @@ class TestMagnusFold:
 
 
 def _cell_edges():
-    # the real lattice cells have edges at 0.25 + k/2; a tie rounds to even
-    for b in np.arange(0.25, 4.0, 0.5):
-        yield from (math.nextafter(b, 0.0), float(b), math.nextafter(b, 5.0))
+    # the real lattice cells have edges at 4 + 8k; a tie rounds to even
+    for b in (4.0, 12.0):
+        yield from (math.nextafter(b, 0.0), b, math.nextafter(b, 13.0))
 
 
 _JET_GRID = (
     list(np.linspace(1e-3, 4.0, 13))
-    + [1e-14]
+    + [1e-14, 100.0, 400.0]
     + list(_cell_edges())
     # criterion 8's strip points xi + i t/x with |t| <= 1 and x >= 10.5
     + [xi + 1j * t / x for xi in (0.25, 1.0, 4.0) for x in (10.5, 150.0) for t in (-1.0, 1.0)]
-    # |Im xi| = 0.3 takes a complex lattice point
-    + [complex(1.1, 0.3), complex(2.9, -0.3)]
+    # |Im xi| = 3.9 stays in a real cell; 4.1 takes a complex lattice point
+    + [complex(1.0, 3.9), complex(2.9, -3.9), complex(1.1, 4.1), complex(2.9, -4.1)]
 )
 
 
@@ -257,7 +257,7 @@ class TestBumpJet:
     """Full-bump maps from the xi-jet against the direct Magnus map."""
 
     @pytest.mark.parametrize("steps", [16, 64, 512])
-    @pytest.mark.parametrize("lam", [-6.0, 1.0, 40.0, 1000.0])
+    @pytest.mark.parametrize("lam", [-6.0, -5.57, 1.0, 5.57, 40.0, 1000.0])
     def test_matches_direct_map(self, lam, steps):
         profile = pl.canonical_bump()
         for xi in _JET_GRID:
@@ -277,16 +277,16 @@ class TestBumpJet:
             assert abs(T.det() - 1.0) <= propagate.DET_TOL_PER_UNIT * max(1.0, L)
 
     def test_lattice_points(self):
-        assert propagate._lattice_point(1.25) == 1.0
-        assert propagate._lattice_point(math.nextafter(1.25, 2.0)) == 1.5
-        assert propagate._lattice_point(complex(1.0, 0.095)) == 1.0
-        assert propagate._lattice_point(complex(1.1, 0.3)) == complex(1.0, 0.5)
+        assert propagate._lattice_point(4.0) == 0.0
+        assert propagate._lattice_point(math.nextafter(4.0, 5.0)) == 8.0
+        assert propagate._lattice_point(complex(1.0, 3.9)) == 0.0
+        assert propagate._lattice_point(complex(5.0, 4.1)) == complex(8.0, 8.0)
 
     def test_neighbouring_jets_agree_on_the_cell_edge(self):
-        profile, b = pl.canonical_bump(), 1.25
+        profile, b = pl.canonical_bump(), 4.0
         for lam in (1.0, 40.0):
-            lo = (propagate._jet_powers(b - 1.0) @ propagate._bump_jet(profile, lam, 512, 1.0)).reshape(2, 2, 2)
-            hi = (propagate._jet_powers(b - 1.5) @ propagate._bump_jet(profile, lam, 512, 1.5)).reshape(2, 2, 2)
+            lo = (propagate._jet_powers(b - 0.0) @ propagate._bump_jet(profile, lam, 512, 0.0)).reshape(2, 2, 2)
+            hi = (propagate._jet_powers(b - 8.0) @ propagate._bump_jet(profile, lam, 512, 8.0)).reshape(2, 2, 2)
             for x, y in zip(lo, hi):
                 assert np.abs(x - y).max() <= 1e-13 * np.abs(x).max()
 
@@ -294,7 +294,7 @@ class TestBumpJet:
         from pearsonlab.cli import canonical_potential
 
         V = canonical_potential().build()
-        below, above = 1.25, math.nextafter(1.25, 2.0)
+        below, above = 4.0, math.nextafter(4.0, 5.0)
         assert propagate._lattice_point(below) != propagate._lattice_point(above)
         assert abs(pl.phase(V, below, 1e4) - pl.phase(V, above, 1e4)) <= 1e-12
 

@@ -37,12 +37,12 @@ def bump_potentials(draw):
 
 @st.composite
 def cell_edge_pairs(draw):
-    """(xi, zeta) on the two sides of a jet cell edge 0.25 + k/2 in (0, 4).
+    """(xi, zeta) on the two sides of a jet cell edge 4 + 8k, k in {0, 1}.
 
     Each lies at least 5e-4 from the edge, so the pair stays clear of the
     near-diagonal reroute of cd_formula.
     """
-    edge = 0.25 + 0.5 * draw(st.integers(0, 7))
+    edge = 4.0 + 8.0 * draw(st.integers(0, 1))
     offsets = st.floats(5e-4, 0.249)
     return edge - draw(offsets), edge + draw(offsets)
 
