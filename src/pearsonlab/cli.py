@@ -115,6 +115,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown probe {self.probe!r}")
         if self.kind == "verify" and self.probe_ell < 0:
             raise ConfigError("probe_ell must be non-negative")
+        if self.kind == "verify" and self.probe_m < 1:
+            raise ConfigError("probe_m must be at least 1")
+        if self.kind == "hatn" and self.ell < 0:
+            raise ConfigError("ell must be non-negative")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         try:

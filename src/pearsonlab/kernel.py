@@ -9,9 +9,11 @@ returns, off the one walk cache (propagate._extended_walk): arguments
 closer than t(L) / L, a switch that grows like L^(1/3), take the diagonal
 at their midpoint; cd_quadrature, the reference, runs only when a caller
 asks for it. The normalized ratios are evaluated on grids of shifts
-(_ratio_grid), which walk each distinct shifted argument once; each CLI
-kernel task and each (xi, x) of empirical_hat_N is one grid, and the
-one-pair functions are the 1 x 1 case.
+(_ratio_grid), which walk each distinct shifted argument once and, when
+the row and column shifts agree, evaluate each unordered pair once, since
+S is symmetric in its arguments to the bit; each CLI kernel task and each
+(xi, x) of empirical_hat_N is one grid, and the one-pair functions are
+the 1 x 1 case.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -293,13 +296,22 @@ def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps,
     walked once: S_x(xi, xi), kappa (when 0 is a shift) and an exactly
     diagonal entry read the same walk.
     Entries equal the per-pair cd_formula values over the norm bit for
-    bit. The first failure raises.
+    bit. When both grids hold the same shifts, each unordered pair is
+    evaluated once: both routes give the same bits with their arguments
+    swapped (fl(p - q) = -fl(q - p), and the midpoint and the switch are
+    symmetric). The first failure raises.
     """
     xi, x, steps = float(xi), float(x), _steps_or_default(steps)
     if not x > 0.0:
         raise ValueError("the kernel needs L > 0")
-    alphas, betas = _shifted(xi, a_grid, b_grid, x)
-    nums = [[_kernel_entry(V, al, be, x, steps)[0] for be in betas] for al in alphas]
+    symmetric = list(a_grid) == list(b_grid)
+    alphas, betas = _shifted(xi, a_grid, () if symmetric else b_grid, x)
+    if symmetric:
+        nums = [[None] * len(alphas) for _ in alphas]
+        for i, j in combinations_with_replacement(range(len(alphas)), 2):
+            nums[i][j] = nums[j][i] = _kernel_entry(V, alphas[i], alphas[j], x, steps)[0]
+    else:
+        nums = [[_kernel_entry(V, al, be, x, steps)[0] for be in betas] for al in alphas]
     den = x * _kappa_value(V, xi, x, steps) if kappa else _kernel_entry(V, xi, xi, x, steps)[0]
     return [[num / den for num in row] for row in nums]
 

@@ -225,16 +225,14 @@ def empirical_hat_N(
                 _ratio_grid(Vt, xi, ab_grid, ab_grid, length, steps, kappa=True)), target)
         )
 
-    passed = []  # pass/fail of _TRIALS[0], _TRIALS[1], ...; grows on demand
-
-    def trial_passes(j: int) -> bool:
-        while len(passed) <= j:
-            passed.append(passes(_TRIALS[len(passed)]))
-        return passed[j]
-
-    for i, t in enumerate(_TRIALS):
-        if all(trial_passes(j) for j in range(i, len(_TRIALS)) if _TRIALS[j] <= _HORIZON * t):
-            return t
+    start = 0  # the first trial of the current run of passing trials
+    for j, t in enumerate(_TRIALS):
+        if t > _HORIZON * _TRIALS[start]:
+            break
+        if not passes(t):
+            start = j + 1
+    if start < len(_TRIALS):
+        return _TRIALS[start]
     raise HatNSearchError(
         f"no trial length up to {_TRIALS[-1]} kept the kernel ratio within "
         f"{tolerance} of the sinc target on the requested grids"

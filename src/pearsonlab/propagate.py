@@ -44,6 +44,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,8 +150,7 @@ class SolutionState:
             raise ValueError("(u, u') must not both vanish")
 
 
-@dataclass(frozen=True)
-class ExtendedState:
+class ExtendedState(NamedTuple):
     """(u, u') together with the xi-derivative pair (du/dxi, du'/dxi)."""
 
     u: complex | float
@@ -335,7 +335,9 @@ _JET_RADIUS = 8.0  # R, radius of the circle the coefficients are read from
 _JET_POINTS = 16  # N, points on the circle and terms of the polynomial
 _JET_TAIL_TOL = 1e-12  # largest accepted |c_(N-1)| R^(N-1) / max |c_0|
 _ROOTS = [cmath.exp(2j * math.pi * k / _JET_POINTS) for k in range(_JET_POINTS)]
-_POWERS = np.arange(_JET_POINTS)
+# _jet_powers rows: factor * delta ** exponent gives delta^j and j delta^(j-1)
+_ROW_FACTORS = np.array([[1.0] * _JET_POINTS, range(_JET_POINTS)], dtype=float)
+_ROW_EXPONENTS = np.array([range(_JET_POINTS), [0, *range(_JET_POINTS - 1)]], dtype=float)
 # c_j = (1/N) sum_k T(xi0 + R w^k) w^(-jk) / R^j
 _DFT = np.array([[_ROOTS[-j * k % _JET_POINTS] / (_JET_POINTS * _JET_RADIUS**j)
                    for k in range(_JET_POINTS)] for j in range(_JET_POINTS)])
@@ -356,7 +358,8 @@ def _tree_samples(profile: BumpProfile, steps: int):
     n, order, pads = len(w1), [0], []
     while len(order) < n:
         order = [2 * i for i in order] + [2 * i + 1 for i in order]
-    w1, w2 = (np.array([w[i] if i < n else w[0] for i in order]) for w in (w1.tolist(), w2.tolist()))
+    index = np.array([i if i < n else 0 for i in order])
+    w1, w2 = w1[index], w2[index]
     for w in (w1, w2):
         w.setflags(write=False)
     # the padded steps n, n + 1, ... in aligned blocks: the b = 2^k steps from a
@@ -435,11 +438,7 @@ def _bump_jet(profile: BumpProfile, lam: float, steps: int, xi0) -> np.ndarray:
 def _jet_powers(delta) -> np.ndarray:
     """The rows delta^j and j delta^(j-1) whose product with a jet at xi0 gives
     (T, dT/dxi) at xi0 + delta, each row-major."""
-    p = delta ** _POWERS
-    P = np.empty((2, _JET_POINTS), dtype=p.dtype)
-    P[0], P[1, 0] = p, 0.0
-    np.multiply(_POWERS[1:], p[:-1], out=P[1, 1:])
-    return P
+    return _ROW_FACTORS * delta ** _ROW_EXPONENTS
 
 
 def bump_transfer(

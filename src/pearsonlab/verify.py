@@ -103,8 +103,9 @@ def empirical_m_tilde(m: int) -> float:
     """sqrt(m) times the empirical strip constant M_m, computed once per m.
 
     M_m is measured on the strip grid x = geomspace(0.5, 200, 13),
-    t = -1, -0.5, 0, 0.5, 1.
+    t = -1, -0.5, 0, 0.5, 1. An m below 1 raises ValueError.
     """
+    _check_index(m)
     x_grid = np.geomspace(0.5, 200.0, 13)
     return math.sqrt(m) * transfer_norm_sup(m, x_grid, (-1.0, -0.5, 0.0, 0.5, 1.0))
 
@@ -232,14 +233,21 @@ def _check_amplitudes(lambda_seq: Sequence[float]) -> None:
         raise ValueError(f"amplitudes must be finite (got {bad[0]!r})")
 
 
+def _check_index(m) -> None:
+    if not 1 <= m < math.inf:
+        raise ValueError(f"the interval index m must be finite and at least 1 (got {m!r})")
+
+
 def staircase_m(lambda_seq: Sequence[float], *, m_max: int = 4) -> list[int]:
     """Nondecreasing interval indices m_n with |lam_n| * m_tilde(m_n)^6 <= 1/m_n.
 
     Greedy staircase: each m_n is the largest feasible index not below its
     predecessor, where feasibility means |lam_n| <= 1/(m * m_tilde(m)^6)
-    with the empirical strip constants. A non-finite amplitude raises ValueError.
+    with the empirical strip constants. A non-finite amplitude or an m_max
+    below 1 raises ValueError.
     """
     _check_amplitudes(lambda_seq)
+    _check_index(m_max)
     out: list[int] = []
     prev = 1
     for lam in lambda_seq:
@@ -258,9 +266,12 @@ def probe_kappa_schedule(lambda_seq: Sequence[float], m_seq: Sequence[int]) -> B
 
     measured is the largest product over the supplied range (pass callers
     hand in the tail they care about); the verdict is "pass" when the
-    product sequence is non-increasing. A non-finite amplitude raises ValueError.
+    product sequence is non-increasing. A non-finite amplitude or an m
+    below 1 raises ValueError.
     """
     _check_amplitudes(lambda_seq)
+    for m in m_seq:
+        _check_index(m)
     if len(lambda_seq) != len(m_seq):
         raise ValueError("amplitude and interval sequences must have equal length")
     if len(lambda_seq) == 0:

@@ -175,6 +175,23 @@ class TestConfigRejection:
         assert "config error: probe_ell must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("probe", ["kappa_schedule", "transfer_bound", "suite"])
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_probe_m_below_one_rejected(self, probe, m, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        code = main(["verify", "--probe", probe, "--probe-m", m, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: probe_m must be at least 1\n"
+        assert not out.exists()
+
+    def test_negative_hatn_ell_rejected(self, tmp_path, capsys):
+        # the error row would name the truncation range, whose comma no CSV field may hold
+        out = tmp_path / "h.csv"
+        code = main(["hatn", "--ell", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: ell must be non-negative\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("bound", ["inf", "nan", "-1"])
     def test_bad_ab_bound_rejected(self, bound, tmp_path, capsys):
         out = tmp_path / "h.csv"

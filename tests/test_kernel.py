@@ -191,6 +191,26 @@ class TestFormulaRoute:
             assert abs(s / pl.cd_diagonal(V, 0.5 * (xi + zeta), L).value - 1.0) <= 1e-4
 
 
+class TestComplexCentredJet:
+    """A strip argument with Im xi >= 4 reads the jet of a complex lattice
+    cell; the kernel values that walk it agree with the RK4 reference."""
+
+    def test_kernel_values_match_the_reference(self):
+        # RK4 is fourth order: at L = 5 its relative error is about 1.7e-10
+        # at 256 steps and 16 times smaller, about 1.1e-11, at the 512 used
+        # here, so 1e-10 keeps a ninefold margin; the Magnus jet route is
+        # closer still to the exact value
+        V = one_bump(center=2.0)
+        alpha, beta, L = 1.0 + 4.5j, 1.25 + 4.5j, 5.0
+        assert isinstance(propagate._lattice_point(alpha), complex)
+        assert isinstance(propagate._lattice_point(beta), complex)
+        for zeta, method in ((beta, "cd_formula"), (alpha, "accumulated")):
+            got = pl.cd_formula(V, alpha, zeta, L)
+            assert got.method == method
+            ref = kernel.cd_quadrature(V, alpha, zeta, L).value
+            assert abs(got.value - ref) <= 1e-10 * abs(ref), zeta
+
+
 class TestDiagonalRoute:
     def test_free_closed_form(self):
         for L in (5.0, 40.0):
@@ -541,6 +561,27 @@ class TestRatioGrid:
         want = _per_pair(Vt, alpha, beta, L) / (L * pl.kappa(V, ell, xi, L).value)
         assert pl.kappa_ratio(V, ell, xi, a, b, L) == want
 
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(bump_potentials(), st.integers(0, 2), st.floats(0.3, 3.0), st.floats(5.0, 200.0),
+           _SHIFTS, _COMPLEX_SHIFT, st.floats(0.1, 1.0), st.booleans())
+    def test_symmetric_grid_is_the_per_pair_entry(self, V, ell, xi, L, shifts, c, t, kappa):
+        # one list of shifts as rows and columns: each unordered pair is
+        # evaluated once and copied across the diagonal, and must equal the
+        # entry of either order; near against shifts[0] lies inside the
+        # near-diagonal switch, and 0 shares its walk with the norm
+        near = shifts[0] + t * 5e-7
+        grid = shifts + [near, c, 0.0]
+        steps = propagate.STEPS_PER_BUMP
+        V = V.truncate(min(ell, V.bump_count))
+        assert kernel._kernel_entry(V, _arg(xi, near, L), _arg(xi, shifts[0], L), L, steps)[1] == "accumulated"
+        norm = (L * kernel._kappa_value(V, xi, L, steps) if kappa
+                else kernel._kernel_entry(V, xi, xi, L, steps)[0])
+        got = kernel._ratio_grid(V, xi, grid, list(grid), L, None, kappa=kappa)
+        for i, a in enumerate(grid):
+            for j, b in enumerate(grid):
+                want = kernel._kernel_entry(V, _arg(xi, a, L), _arg(xi, b, L), L, steps)[0] / norm
+                assert got[i][j] == want, (a, b)
+
 
 class TestGridWalks:
     """Walks behind the grid users, counted by wrapping the walkers: every
@@ -628,6 +669,32 @@ class TestGridWalks:
         kernel.cd_quadrature(V, 0.5, 0.5001, 1e4)
         assert propagate._extended_walk.cache_info().misses == 0
         assert calls == {"_piece_maps": 0, "segments": 1, "propagate_to": 0, "truncate": 0}
+
+    @staticmethod
+    def _count_entries(monkeypatch):
+        entries, entry = [], kernel._kernel_entry
+        monkeypatch.setattr(kernel, "_kernel_entry", lambda *args: entries.append(args) or entry(*args))
+        return entries
+
+    def test_cli_kernel_task_evaluates_each_pair_once(self, calls, monkeypatch):
+        # equal row and column shifts: 45 unordered pairs of 9 shifts, and
+        # the norm; distinct row and column shifts keep one entry per cell
+        entries = self._count_entries(monkeypatch)
+        ab = [-2.0 + 0.5 * i for i in range(9)]
+        V = cli.canonical_potential().build()
+        cli._kernel_rows(V, 1e4, 1.0, ab, ab, None)
+        assert len(entries) == 46
+        cli._kernel_rows(V, 1e4, 1.0, ab, ab[:8], None)
+        assert len(entries) == 46 + 73
+        assert propagate._extended_walk.cache_info().misses == 9
+
+    def test_hat_n_search_evaluates_each_pair_once(self, calls, monkeypatch):
+        # 21 grids of 5 x 5 shifts, 15 unordered pairs each, normed by kappa
+        entries = self._count_entries(monkeypatch)
+        V = cli.canonical_potential().build()
+        assert pl.empirical_hat_N(V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=5) == 32.0
+        assert len(entries) == 315
+        assert propagate._extended_walk.cache_info().misses == 105
 
     def test_cli_kernel_rows_are_the_per_pair_rows(self):
         # 0.5 + 5e-7 against 0.5 is a near-diagonal pair at L = 1e4 (the

@@ -376,6 +376,20 @@ class TestBumpJet:
             tracemalloc.stop()
         assert peak <= 640 * 1024
 
+    def test_power_row_is_the_two_step_row(self):
+        # delta^j, then j delta^(j-1) from that row, as the row was first built
+        rng = np.random.default_rng(1)
+        reals = [0.0, -0.0, 1.0, 4.0, -4.0, *rng.uniform(-6.0, 6.0, 200)]
+        complexes = [complex(1.0, 5.5), *(rng.uniform(-6.0, 6.0, 200) + 1j * rng.uniform(-6.0, 6.0, 200))]
+        for delta in [*map(float, reals), *map(complex, complexes)]:
+            powers = np.arange(propagate._JET_POINTS)
+            p = delta ** powers
+            want = np.empty((2, propagate._JET_POINTS), dtype=p.dtype)
+            want[0], want[1, 0] = p, 0.0
+            np.multiply(powers[1:], p[:-1], out=want[1, 1:])
+            got = propagate._jet_powers(delta)
+            assert got.dtype == want.dtype and np.array_equal(got, want), delta
+
     def test_tail_check_raises(self):
         coefs = np.zeros((propagate._JET_POINTS, 4))
         coefs[0] = 1.0
@@ -798,6 +812,13 @@ class TestPropagateExtended:
         with pytest.raises(ValueError):
             pl.extended_neumann(pl.zero_potential(), complex(1.0, 0.5), 1.0)
 
+    def test_state_is_read_only(self):
+        # the state is shared by every reader of the walk cache
+        e = pl.extended_neumann(two_bump(), 1.0, 20.0)
+        assert e._fields == ("u", "du", "u_xi", "du_xi", "x")
+        with pytest.raises(AttributeError):
+            e.u = 0.0
+
 
 class TestDeterminantConservation:
     def test_composed_transfer_over_real_grid(self):
@@ -892,12 +913,17 @@ _INF = float("inf")
         lambda: pl.probe_transfer_bound(2, (1.0, 5.0), ()),
         lambda: pl.probe_transfer_bound(2, (), (0.5,)),
         lambda: pl.probe_truncation_step(_V, 1, 1.0, ()),
+        # interval indices below 1
+        lambda: pl.staircase_m([1.0, 0.5, 0.1], m_max=0),
+        lambda: pl.empirical_m_tilde(-1),
+        lambda: pl.probe_kappa_schedule([0.5], [-1]),
     ],
     ids=[
         "phase-L", "phase-xi", "count-L", "neumann-x", "neumann-xi", "extended-x", "free-x1",
         "transfer-xi", "quadrature-L", "formula-zeta", "potential-nan",
         "potential-inf-amplitude", "potential-inf-center", "state-u", "state-x",
         "oracle-cutoff", "norm-sup-t", "transfer-bound-t", "transfer-bound-x", "truncation-x",
+        "staircase-m-max", "m-tilde-m", "schedule-m",
     ],
 )
 def test_non_finite_input_rejected(call):

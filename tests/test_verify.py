@@ -190,6 +190,21 @@ class TestKappaScheduleProbe:
         with pytest.raises(ValueError):
             pl.probe_kappa_schedule([0.5], [1, 1])
 
+    @pytest.mark.parametrize("call, bad", [
+        (lambda: pl.empirical_m_tilde(0), 0),
+        (lambda: pl.empirical_m_tilde(-1), -1),
+        (lambda: pl.empirical_m_tilde(math.nan), math.nan),
+        (lambda: pl.staircase_m([1.0, 0.5, 0.1], m_max=0), 0),
+        (lambda: pl.staircase_m([0.5], m_max=-3), -3),
+        (lambda: pl.probe_kappa_schedule([0.5], [-1]), -1),
+        (lambda: pl.probe_kappa_schedule([0.5, 0.4], [1, 0]), 0),
+    ], ids=["m_tilde-0", "m_tilde-neg", "m_tilde-nan", "staircase-0", "staircase-neg",
+            "schedule-neg", "schedule-0"])
+    def test_bad_interval_index_rejected(self, call, bad):
+        # an interval index below 1 (NaN included) raises, naming it
+        with pytest.raises(ValueError, match=re.escape(f"(got {bad!r})")):
+            call()
+
 
 class TestBoundProbeInvariants:
     def test_unknown_verdict_rejected(self):
