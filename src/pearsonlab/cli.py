@@ -117,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError("probe_ell must be non-negative")
         if self.kind == "verify" and self.probe_m < 1:
             raise ConfigError("probe_m must be at least 1")
+        if self.kind == "verify" and self.probe_count < 1:
+            raise ConfigError("probe_count must be at least 1")
         if self.kind == "hatn" and self.ell < 0:
             raise ConfigError("ell must be non-negative")
         if self.workers < 1:
@@ -349,12 +351,19 @@ def write_csv(path: str, header: list[str], rows) -> None:
         raise
 
 
-def run(cfg: ExperimentConfig) -> int:
-    """Dispatch one experiment; returns the process exit status."""
-    cfg.validate()
-    results = _execute(_tasks(cfg, cfg.potential.build()), cfg.workers)
-    rows = [row for chunk in results for row in chunk]
-    write_csv(cfg.out, HEADERS[cfg.kind], rows)
+def _sweep(cfgs: list[ExperimentConfig]) -> list[list]:
+    """Validate every config, then run the tasks of all of them as one sweep,
+    so one process pool, with the first config's workers; returns each
+    config's task results in row order."""
+    for cfg in cfgs:
+        cfg.validate()
+    groups = [_tasks(cfg, cfg.potential.build()) for cfg in cfgs]
+    results = iter(_execute([task for group in groups for task in group], cfgs[0].workers))
+    return [[next(results) for _ in group] for group in groups]
+
+
+def _report(rows) -> int:
+    """Name each failed row on stderr; returns the process exit status."""
     failures = [row for row in rows if str(row[-1]).startswith("error")]
     for row in failures:
         print(f"row failed: {row[-1]}", file=sys.stderr)
@@ -362,6 +371,14 @@ def run(cfg: ExperimentConfig) -> int:
         print(f"{len(failures)} of {len(rows)} rows failed", file=sys.stderr)
         return 1
     return 0
+
+
+def run(cfg: ExperimentConfig) -> int:
+    """Dispatch one experiment; returns the process exit status."""
+    (results,) = _sweep([cfg])
+    rows = [row for chunk in results for row in chunk]
+    write_csv(cfg.out, HEADERS[cfg.kind], rows)
+    return _report(rows)
 
 
 # -- headline reproduction -----------------------------------------------------
@@ -395,23 +412,15 @@ def reproduce_headline(
     and dos_comparison.csv (eigenvalue histogram against the free density
     over [1, 4]).
     """
-    os.makedirs(outdir, exist_ok=True)
-    V = canonical_potential().build()
     ab = tuple(np.linspace(-2.0, 2.0, 9))
-    xi_list = (0.5, 1.0, 2.0)
-
-    kernel = ExperimentConfig(
-        "kernel", xi_grid=xi_list, l_grid=l_grid, a_grid=ab, b_grid=ab, steps_per_bump=steps
-    )
-    clock = ExperimentConfig("clock", l_grid=l_grid, xi_star=1.0, depth=3, steps_per_bump=steps)
-    dos = ExperimentConfig("dos", l_grid=l_grid, interval=(1.0, 4.0), bins=12,
-                           steps_per_bump=steps)
-    # one sweep, so one process pool, over the tasks of all three experiments
-    groups = [_tasks(cfg, V) for cfg in (kernel, clock, dos)]
-    results = _execute([task for group in groups for task in group], workers)
-    k, c = len(groups[0]), len(groups[0]) + len(groups[1])
+    kernel = ExperimentConfig("kernel", canonical_potential(), xi_grid=(0.5, 1.0, 2.0),
+                              l_grid=l_grid, a_grid=ab, b_grid=ab, workers=workers,
+                              steps_per_bump=steps)
+    clock, dos = replace(kernel, kind="clock"), replace(kernel, kind="dos")
+    kernel_results, clock_results, dos_results = _sweep([kernel, clock, dos])
     kernel_rows = []
-    for (L, xi), chunk in zip([(L, xi) for L in l_grid for xi in xi_list], results[:k]):
+    keys = [(L, xi) for L in l_grid for xi in kernel.xi_grid]
+    for (L, xi), chunk in zip(keys, kernel_results):
         errs = [row[8] for row in chunk if row[9] == "ok"]
         status = "ok" if len(errs) == len(chunk) else "error: some pairs failed"
         kernel_rows.append([L, xi, max(errs) if errs else "", status])
@@ -422,7 +431,7 @@ def reproduce_headline(
     )
 
     clock_rows = []
-    for L, chunk in zip(l_grid, results[k:c]):
+    for L, chunk in zip(l_grid, clock_results):
         devs = [row[5] for row in chunk if row[6] == "ok"]
         status = "ok" if devs and len(devs) == len(chunk) else "error: window failed"
         clock_rows.append([L, clock.xi_star, clock.depth, max(devs) if devs else "", status])
@@ -432,11 +441,9 @@ def reproduce_headline(
         clock_rows,
     )
 
-    dos_rows = [row for chunk in results[c:] for row in chunk]
+    dos_rows = [row for chunk in dos_results for row in chunk]
     write_csv(os.path.join(outdir, "dos_comparison.csv"), HEADERS["dos"], dos_rows)
-
-    bad = [r for r in kernel_rows + clock_rows + dos_rows if str(r[-1]).startswith("error")]
-    return 1 if bad else 0
+    return _report(kernel_rows + clock_rows + dos_rows)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -514,25 +521,18 @@ def _default_workers() -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in (*FLAGS, "reproduce") else None
-    args = build_parser(command).parse_args(argv)
+    args = vars(build_parser(command).parse_args(argv))
+    kind, path, outdir = args.pop("command"), args.pop("config", None), args.pop("outdir", None)
+    overrides = {key: value for key, value in args.items()
+                 if key != "seedless" and value is not None}
     try:
-        if args.command == "reproduce":
-            return reproduce_headline(
-                args.outdir,
-                workers=args.workers or _default_workers(),
-                l_grid=args.l_grid or (100.0, 1000.0, 10000.0),
-                steps=args.steps_per_bump,
-            )
-        mapping = _parse_kv_file(args.config) if args.config else {}
-        cfg = config_from_mapping(args.command, mapping)
-        overrides = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in ("command", "config", "seedless") and value is not None
-        }
-        if args.workers is None and "workers" not in mapping:
+        mapping = _parse_kv_file(path) if path else {}
+        if "workers" not in overrides and "workers" not in mapping:
             overrides["workers"] = _default_workers()
-        return run(replace(cfg, **overrides))
+        if kind == "reproduce":
+            overrides["steps"] = overrides.pop("steps_per_bump", None)
+            return reproduce_headline(outdir, **overrides)
+        return run(replace(config_from_mapping(kind, mapping), **overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -242,6 +242,13 @@ def _steps_or_default(steps: int | None) -> int:
     return n
 
 
+def _positive_int(name: str, value) -> int:
+    """value as an int; anything but a whole number of at least 1 raises ValueError."""
+    if not (1 <= value < math.inf and value == int(value)):
+        raise ValueError(f"{name} must be an integer of at least 1 (got {value!r})")
+    return int(value)
+
+
 def _is_full_bump(la: float, lb: float) -> bool:
     return la <= 1e-12 and lb >= 1.0 - 1e-12
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernel import rho
 from .potential import PearsonPotential
-from .propagate import _as_scalar, _piece_maps, _steps_or_default
+from .propagate import _as_scalar, _piece_maps, _positive_int, _steps_or_default
 
 __all__ = [
     "EigenvalueWindow",
@@ -339,9 +339,7 @@ def clock_statistics(
     V: PearsonPotential, L: float, xi_star: float, depth: int, *, steps: int | None = None
 ) -> ClockReport:
     """Rescaled spacings L (xi_{n+1} - xi_n) rho(xi_star), n in [-depth, depth-1]."""
-    depth = int(depth)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    depth = _positive_int("depth", depth)
     window = eigenvalues_near(V, L, xi_star, -depth, depth, steps=steps)
     r = rho(xi_star)
     stats = []
@@ -369,9 +367,7 @@ def density_of_states(
     lo, hi = float(interval[0]), float(interval[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"interval {lo} to {hi} must be a finite subinterval of the positive reals")
-    bins = int(bins)
-    if bins < 1:
-        raise ValueError("need at least one bin")
+    bins = _positive_int("bins", bins)
     edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
     counts_at = [eigenvalue_count(V, e, L, steps=steps) for e in edges]
     counts = [counts_at[i + 1] - counts_at[i] for i in range(bins)]
@@ -401,6 +397,8 @@ def oracle_eigenvalues(
     this keeps the boundary error at O(h^2). Emits a ResolutionWarning
     when the eigenvalue count disagrees with the phase-based count.
     """
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"L must be positive and finite (got {L!r})")
     if not math.isfinite(cutoff):
         raise ValueError(f"the oracle cutoff must be finite (got {cutoff!r})")
     from scipy.linalg import eigh_tridiagonal

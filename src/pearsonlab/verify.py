@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .potential import PearsonPotential, canonical_bump
-from .propagate import free_transfer, neumann_solution, transfer_to
+from .propagate import _positive_int, free_transfer, neumann_solution, transfer_to
 
 __all__ = [
     "BoundProbe",
@@ -103,9 +103,10 @@ def empirical_m_tilde(m: int) -> float:
     """sqrt(m) times the empirical strip constant M_m, computed once per m.
 
     M_m is measured on the strip grid x = geomspace(0.5, 200, 13),
-    t = -1, -0.5, 0, 0.5, 1. An m below 1 raises ValueError.
+    t = -1, -0.5, 0, 0.5, 1. An m that is not an integer of at least 1
+    raises ValueError.
     """
-    _check_index(m)
+    m = _positive_int("the interval index m", m)
     x_grid = np.geomspace(0.5, 200.0, 13)
     return math.sqrt(m) * transfer_norm_sup(m, x_grid, (-1.0, -0.5, 0.0, 0.5, 1.0))
 
@@ -233,21 +234,16 @@ def _check_amplitudes(lambda_seq: Sequence[float]) -> None:
         raise ValueError(f"amplitudes must be finite (got {bad[0]!r})")
 
 
-def _check_index(m) -> None:
-    if not 1 <= m < math.inf:
-        raise ValueError(f"the interval index m must be finite and at least 1 (got {m!r})")
-
-
 def staircase_m(lambda_seq: Sequence[float], *, m_max: int = 4) -> list[int]:
     """Nondecreasing interval indices m_n with |lam_n| * m_tilde(m_n)^6 <= 1/m_n.
 
     Greedy staircase: each m_n is the largest feasible index not below its
     predecessor, where feasibility means |lam_n| <= 1/(m * m_tilde(m)^6)
     with the empirical strip constants. A non-finite amplitude or an m_max
-    below 1 raises ValueError.
+    that is not an integer of at least 1 raises ValueError.
     """
     _check_amplitudes(lambda_seq)
-    _check_index(m_max)
+    m_max = _positive_int("the interval index m", m_max)
     out: list[int] = []
     prev = 1
     for lam in lambda_seq:
@@ -267,16 +263,15 @@ def probe_kappa_schedule(lambda_seq: Sequence[float], m_seq: Sequence[int]) -> B
     measured is the largest product over the supplied range (pass callers
     hand in the tail they care about); the verdict is "pass" when the
     product sequence is non-increasing. A non-finite amplitude or an m
-    below 1 raises ValueError.
+    that is not an integer of at least 1 raises ValueError.
     """
     _check_amplitudes(lambda_seq)
-    for m in m_seq:
-        _check_index(m)
+    m_seq = [_positive_int("the interval index m", m) for m in m_seq]
     if len(lambda_seq) != len(m_seq):
         raise ValueError("amplitude and interval sequences must have equal length")
     if len(lambda_seq) == 0:
         raise ValueError("need at least one schedule entry")
-    products = [abs(lam) * empirical_m_tilde(int(m)) ** 6 for lam, m in zip(lambda_seq, m_seq)]
+    products = [abs(lam) * empirical_m_tilde(m) ** 6 for lam, m in zip(lambda_seq, m_seq)]
     decreasing = all(
         b <= a * (1.0 + 1e-12) for a, b in zip(products, products[1:])
     )
@@ -284,8 +279,8 @@ def probe_kappa_schedule(lambda_seq: Sequence[float], m_seq: Sequence[int]) -> B
         lemma_id="kappa_schedule",
         parameters={
             "n_terms": len(products),
-            "m_first": int(m_seq[0]),
-            "m_last": int(m_seq[-1]),
+            "m_first": m_seq[0],
+            "m_last": m_seq[-1],
             "first_product": float(products[0]),
             "last_product": float(products[-1]),
         },

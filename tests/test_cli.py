@@ -184,6 +184,16 @@ class TestConfigRejection:
         assert capsys.readouterr().err == "config error: probe_m must be at least 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_probe_count_below_one_rejected(self, count, tmp_path, capsys):
+        # used to run and fail with the row "need at least one schedule entry"
+        out = tmp_path / "v.csv"
+        code = main(["verify", "--probe", "kappa_schedule", "--probe-count", count,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: probe_count must be at least 1\n"
+        assert not out.exists()
+
     def test_negative_hatn_ell_rejected(self, tmp_path, capsys):
         # the error row would name the truncation range, whose comma no CSV field may hold
         out = tmp_path / "h.csv"
@@ -700,3 +710,33 @@ class TestReproduce:
         assert len(rows) == 2
         header, rows = read_csv(str(outdir / "dos_comparison.csv"))
         assert header == HEADERS["dos"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "workers must be at least 1"),
+        (["--workers", "-2"], "workers must be at least 1"),
+        (["--l-grid="], "l_grid must not be empty"),
+        (["--l-grid", "100,50"], "l_grid must be strictly increasing"),
+        (["--l-grid", "-5"], "l_grid values must be positive"),
+    ], ids=["workers-0", "workers-neg", "l-grid-empty", "l-grid-decreasing", "l-grid-neg"])
+    def test_bad_input_rejected_as_by_clock(self, flags, message, tmp_path, monkeypatch,
+                                            capsys):
+        # reproduce used to run these: the first three on its own defaults
+        from pearsonlab import cli
+
+        monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+        for command, flag in (("clock", "--out"), ("reproduce", "--outdir")):
+            out = tmp_path / command
+            assert main([command, *flags, flag, str(out)]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
+
+    def test_failed_rows_named_on_stderr(self, tmp_path, capsys):
+        outdir = tmp_path / "repro"
+        code = main(["reproduce", "--outdir", str(outdir), "--l-grid", "50",
+                     "--steps-per-bump", "8"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "row failed: error: some pairs failed\n" * 3
+            + "row failed: error: window failed\n"
+            "row failed: error: bump integration requires at least 16 steps\n"
+            "5 of 5 rows failed\n")

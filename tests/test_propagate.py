@@ -908,6 +908,7 @@ _INF = float("inf")
         lambda: pl.SolutionState(_NAN, 0.0, 0.0),
         lambda: pl.SolutionState(1.0, 0.0, _INF),
         lambda: pl.oracle_eigenvalues(_V, 50.0, 200, cutoff=_NAN),
+        lambda: pl.oracle_eigenvalues(_V, 0.0, 100),
         # empty grids: a sup over no points is no measurement
         lambda: pl.transfer_norm_sup(2, (1.0,), ()),
         lambda: pl.probe_transfer_bound(2, (1.0, 5.0), ()),
@@ -917,13 +918,16 @@ _INF = float("inf")
         lambda: pl.staircase_m([1.0, 0.5, 0.1], m_max=0),
         lambda: pl.empirical_m_tilde(-1),
         lambda: pl.probe_kappa_schedule([0.5], [-1]),
+        # counts that are not whole numbers
+        lambda: pl.clock_statistics(_V, 50.0, 1.0, 1.5),
+        lambda: pl.density_of_states(_V, 50.0, (1.0, 4.0), 2.5),
     ],
     ids=[
         "phase-L", "phase-xi", "count-L", "neumann-x", "neumann-xi", "extended-x", "free-x1",
         "transfer-xi", "quadrature-L", "formula-zeta", "potential-nan",
         "potential-inf-amplitude", "potential-inf-center", "state-u", "state-x",
-        "oracle-cutoff", "norm-sup-t", "transfer-bound-t", "transfer-bound-x", "truncation-x",
-        "staircase-m-max", "m-tilde-m", "schedule-m",
+        "oracle-cutoff", "oracle-L", "norm-sup-t", "transfer-bound-t", "transfer-bound-x",
+        "truncation-x", "staircase-m-max", "m-tilde-m", "schedule-m", "clock-depth", "dos-bins",
     ],
 )
 def test_non_finite_input_rejected(call):

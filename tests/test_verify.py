@@ -198,12 +198,21 @@ class TestKappaScheduleProbe:
         (lambda: pl.staircase_m([0.5], m_max=-3), -3),
         (lambda: pl.probe_kappa_schedule([0.5], [-1]), -1),
         (lambda: pl.probe_kappa_schedule([0.5, 0.4], [1, 0]), 0),
+        (lambda: pl.empirical_m_tilde(1.5), 1.5),
+        (lambda: pl.staircase_m([0.5], m_max=2.5), 2.5),
+        (lambda: pl.probe_kappa_schedule([0.5], [1.5]), 1.5),
     ], ids=["m_tilde-0", "m_tilde-neg", "m_tilde-nan", "staircase-0", "staircase-neg",
-            "schedule-neg", "schedule-0"])
+            "schedule-neg", "schedule-0", "m_tilde-fraction", "staircase-fraction",
+            "schedule-fraction"])
     def test_bad_interval_index_rejected(self, call, bad):
-        # an interval index below 1 (NaN included) raises, naming it
+        # an interval index that is not an integer of at least 1 raises, naming it
         with pytest.raises(ValueError, match=re.escape(f"(got {bad!r})")):
             call()
+
+    def test_whole_float_index_reads_as_its_integer(self):
+        # range() in staircase_m used to reject m_max = 2.0 with a TypeError
+        assert pl.staircase_m([0.5, 0.1], m_max=2.0) == pl.staircase_m([0.5, 0.1], m_max=2)
+        assert pl.probe_kappa_schedule([0.5], [2.0]) == pl.probe_kappa_schedule([0.5], [2])
 
 
 class TestBoundProbeInvariants:
