@@ -397,6 +397,13 @@ def canonical_potential() -> PotentialSpec:
     )
 
 
+def _sup(chunk, column) -> list:
+    """Max of column over a task's ok rows ("" if none), and its first failed status or ok."""
+    values = [row[column] for row in chunk if row[-1] == "ok"]
+    failed = [row[-1] for row in chunk if row[-1] != "ok"]
+    return [max(values) if values else "", failed[0] if failed else "ok"]
+
+
 def reproduce_headline(
     outdir: str,
     *,
@@ -418,23 +425,16 @@ def reproduce_headline(
                               steps_per_bump=steps)
     clock, dos = replace(kernel, kind="clock"), replace(kernel, kind="dos")
     kernel_results, clock_results, dos_results = _sweep([kernel, clock, dos])
-    kernel_rows = []
     keys = [(L, xi) for L in l_grid for xi in kernel.xi_grid]
-    for (L, xi), chunk in zip(keys, kernel_results):
-        errs = [row[8] for row in chunk if row[9] == "ok"]
-        status = "ok" if len(errs) == len(chunk) else "error: some pairs failed"
-        kernel_rows.append([L, xi, max(errs) if errs else "", status])
+    kernel_rows = [[*key, *_sup(chunk, 8)] for key, chunk in zip(keys, kernel_results)]
     write_csv(
         os.path.join(outdir, "kernel_convergence.csv"),
         ["L", "xi", "sup_abs_error", "status"],
         kernel_rows,
     )
 
-    clock_rows = []
-    for L, chunk in zip(l_grid, clock_results):
-        devs = [row[5] for row in chunk if row[6] == "ok"]
-        status = "ok" if devs and len(devs) == len(chunk) else "error: window failed"
-        clock_rows.append([L, clock.xi_star, clock.depth, max(devs) if devs else "", status])
+    clock_rows = [[L, clock.xi_star, clock.depth, *_sup(chunk, 5)]
+                  for L, chunk in zip(l_grid, clock_results)]
     write_csv(
         os.path.join(outdir, "clock_convergence.csv"),
         ["L", "xi_star", "depth", "max_deviation", "status"],

@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .potential import BumpProfile, PearsonPotential
+from .potential import BumpProfile, PearsonPotential, _integer, _positive
 from .propagate import (
     _EPS,
     _as_scalar,
@@ -186,9 +186,7 @@ def cd_quadrature(
     system. This is the reference route: its integrator is independent of
     the Magnus bump maps that the other routes fold.
     """
-    steps = _steps_or_default(steps)
-    if not L > 0.0:
-        raise ValueError("the kernel needs L > 0")
+    steps, L = _steps_or_default(steps), _positive("L", L)
     xi = _as_scalar(xi)
     zeta = _as_scalar(zeta)
     w1 = principal_sqrt(xi)
@@ -198,7 +196,7 @@ def cd_quadrature(
     u1, d1 = (1.0 + 0.0j, 0.0 + 0.0j) if is_complex else (1.0, 0.0)
     u2, d2 = u1, d1
     acc = 0.0 + 0.0j if is_complex else 0.0
-    for piece in _plan(V, 0.0, float(L), steps):
+    for piece in _plan(V, 0.0, L, steps):
         if len(piece) == 2:
             a, b = piece
             (p11, p12, p21, p22), _ = _free_maps(xi, w1, a, b)
@@ -216,8 +214,8 @@ def cd_quadrature(
             u1, d1, u2, d2, acc = _rk4_wsystem(_pair_rhs(lam, xi, zeta), nodes, mids, h, y)
     value = complex(acc) if is_complex else float(acc)
     if not cmath.isfinite(value):
-        raise ValueError(f"the walk at xi = {xi!r} and zeta = {zeta!r} overflows between 0.0 and {float(L)!r}")
-    return KernelEvaluation(xi, zeta, float(L), value, "quadrature")
+        raise ValueError(f"the walk at xi = {xi!r} and zeta = {zeta!r} overflows between 0.0 and {L!r}")
+    return KernelEvaluation(xi, zeta, L, value, "quadrature")
 
 
 # -- routes 2 and 3: boundary data of the cached walks --------------------------
@@ -254,25 +252,23 @@ def cd_formula(
     the diagonal route at their midpoint, and the returned method flags the
     switch as "accumulated". cd_quadrature never runs on the caller's behalf.
     """
-    if not L > 0.0:
-        raise ValueError("the kernel needs L > 0")
+    L = _positive("L", L)
     xi = _as_scalar(xi)
     zeta = _as_scalar(zeta)
-    value, method = _kernel_entry(V, xi, zeta, float(L), _steps_or_default(steps))
-    return KernelEvaluation(xi, zeta, float(L), value, method)
+    value, method = _kernel_entry(V, xi, zeta, L, _steps_or_default(steps))
+    return KernelEvaluation(xi, zeta, L, value, method)
 
 
 def cd_diagonal(
     V: PearsonPotential, xi: float, L: float, *, steps: int | None = None
 ) -> KernelEvaluation:
     """Diagonal kernel u'(xi,L) du/dxi(xi,L) - du'/dxi(xi,L) u(xi,L)."""
-    if not L > 0.0:
-        raise ValueError("the kernel needs L > 0")
+    L = _positive("L", L)
     xi = _as_scalar(xi)
     if isinstance(xi, complex):
         raise ValueError("the diagonal route is defined for real xi only")
-    value, method = _kernel_entry(V, xi, xi, float(L), _steps_or_default(steps))
-    return KernelEvaluation(xi, xi, float(L), value, method)
+    value, method = _kernel_entry(V, xi, xi, L, _steps_or_default(steps))
+    return KernelEvaluation(xi, xi, L, value, method)
 
 
 # -- normalized ratios ---------------------------------------------------------
@@ -301,9 +297,7 @@ def _ratio_grid(V: PearsonPotential, xi: float, a_grid, b_grid, x: float, steps,
     swapped (fl(p - q) = -fl(q - p), and the midpoint and the switch are
     symmetric). The first failure raises.
     """
-    xi, x, steps = float(xi), float(x), _steps_or_default(steps)
-    if not x > 0.0:
-        raise ValueError("the kernel needs L > 0")
+    xi, x, steps = float(xi), _positive("L", x), _steps_or_default(steps)
     symmetric = list(a_grid) == list(b_grid)
     alphas, betas = _shifted(xi, a_grid, () if symmetric else b_grid, x)
     if symmetric:
@@ -350,9 +344,8 @@ def kappa(
     Equals (a1_tilde^2 + a2_tilde^2)/2. Constant in x beyond the last kept
     bump; always strictly positive.
     """
-    xi, x = float(xi), float(x)
-    value = _kappa_value(V.truncate(ell), xi, x, _steps_or_default(steps))
-    return Kappa(int(ell), xi, x, value)
+    xi, x, V = float(xi), float(x), V.truncate(ell)
+    return Kappa(V.bump_count, xi, x, _kappa_value(V, xi, x, _steps_or_default(steps)))
 
 
 def kappa_ratio(
@@ -377,13 +370,14 @@ def kappa_ratio_gap(
     s_term bounds the kernel difference at fixed normalization, kappa_term
     the normalization swap; gap <= s_term + kappa_term.
     """
+    ell = _integer("ell", ell, 0)
     if ell + 2 > V.bump_count:
         raise ValueError("kappa_ratio_gap needs at least ell + 2 stored bumps")
     lo = V.centers[ell]  # centers are 0-indexed: N_{ell+1} = centers[ell]
     hi = V.centers[ell + 1]
     if not (lo <= x <= hi):
         raise ValueError(f"x = {x} outside the window [{lo}, {hi}]")
-    xi, x, steps = float(xi), float(x), _steps_or_default(steps)
+    xi, x, steps = float(xi), _positive("x", x), _steps_or_default(steps)
     (alpha,), (beta,) = _shifted(xi, (a,), (b,), x)
     (s_lo, k_lo), (s_hi, k_hi) = (
         (_kernel_entry(W, alpha, beta, x, steps)[0], _kappa_value(W, xi, x, steps))

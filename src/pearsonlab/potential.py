@@ -30,6 +30,23 @@ class HatNSearchError(RuntimeError):
     """No trial length satisfied the closeness criterion below the cap."""
 
 
+def _integer(name: str, value, least: float = 1) -> int:
+    """value as an int; anything but a whole number of at least `least` raises
+    ValueError naming the argument. The rule of every count and index."""
+    if not (math.isfinite(value) and value >= least and value == int(value)):
+        floor = f" of at least {least}" if least > -math.inf else ""
+        raise ValueError(f"{name} must be an integer{floor} (got {value!r})")
+    return int(value)
+
+
+def _positive(name: str, value) -> float:
+    """value as a float: the rule of every length; ValueError unless positive and finite."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite (got {value!r})")
+    return value
+
+
 def _canonical_profile_value(x: float) -> float:
     if x <= 0.0 or x >= 1.0:
         return 0.0
@@ -90,7 +107,7 @@ class PearsonPotential:
         for a, b in zip(cents, cents[1:]):
             if b - a < 1.0:
                 raise ValueError(f"bump supports overlap: centers {a} and {b} closer than 1")
-        start = max(0, int(self.monotone_from))
+        start = max(0, _integer("monotone_from", self.monotone_from, -math.inf))
         for n in range(start, len(amps) - 1):
             if abs(amps[n + 1]) > abs(amps[n]):
                 raise ValueError(
@@ -120,8 +137,8 @@ class PearsonPotential:
 
     def truncate(self, ell: int) -> "PearsonPotential":
         """Keep only the first ell bumps."""
-        ell = int(ell)
-        if ell < 0 or ell > self.bump_count:
+        ell = _integer("the truncation level", ell, 0)
+        if ell > self.bump_count:
             raise ValueError(f"truncation level {ell} outside [0, {self.bump_count}]")
         return PearsonPotential(
             profile=self.profile,
@@ -151,9 +168,7 @@ def geometric_schedule(
         raise ValueError(f"gamma must be finite and exceed 1 (got {gamma!r})")
     if not 1.0 <= n1 < math.inf:
         raise ValueError(f"the first center must be finite and at least 1 (got {n1!r})")
-    count = int(count)
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    count = _integer("count", count, 0)
     if len(amplitudes) < count:
         raise ValueError(f"need {count} amplitudes, got {len(amplitudes)}")
     centers = [float(n1)][:count]
@@ -202,15 +217,13 @@ def empirical_hat_N(
     """
     from .kernel import _ratio_grid, sine_kernel
 
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
+    tolerance = _positive("tolerance", tolerance)
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 < lo <= hi < math.inf:
         raise ValueError(f"window {lo} to {hi} must be a finite subinterval of the positive reals")
     if not 0.0 <= ab_bound < math.inf:
         raise ValueError(f"ab_bound must be non-negative and finite (got {ab_bound!r})")
-    if xi_points < 1:
-        raise ValueError("xi_points must be at least 1")
+    xi_points = _integer("xi_points", xi_points)
 
     xi_grid = [lo + (hi - lo) * i / max(xi_points - 1, 1) for i in range(xi_points if lo < hi else 1)]
     ab_grid = [-ab_bound + 2.0 * ab_bound * i / (_AB_POINTS - 1) for i in range(_AB_POINTS)]

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .potential import BumpProfile, PearsonPotential
+from .potential import BumpProfile, PearsonPotential, _integer
 
 __all__ = [
     "DeterminantDriftError",
@@ -236,17 +236,10 @@ _EXP_SERIES_CUT = 1e-2  # |mu^2| below which the step exponential uses series fo
 
 
 def _steps_or_default(steps: int | None) -> int:
-    n = STEPS_PER_BUMP if steps is None else int(steps)
+    n = STEPS_PER_BUMP if steps is None else _integer("steps", steps, -math.inf)
     if n < 16:
         raise ValueError("bump integration requires at least 16 steps")
     return n
-
-
-def _positive_int(name: str, value) -> int:
-    """value as an int; anything but a whole number of at least 1 raises ValueError."""
-    if not (1 <= value < math.inf and value == int(value)):
-        raise ValueError(f"{name} must be an integer of at least 1 (got {value!r})")
-    return int(value)
 
 
 def _is_full_bump(la: float, lb: float) -> bool:

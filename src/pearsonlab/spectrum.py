@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import rho
-from .potential import PearsonPotential
-from .propagate import _as_scalar, _piece_maps, _positive_int, _steps_or_default
+from .potential import PearsonPotential, _integer, _positive
+from .propagate import _as_scalar, _piece_maps, _steps_or_default
 
 __all__ = [
     "EigenvalueWindow",
@@ -272,14 +272,12 @@ def eigenvalues_near(
     xi_{-1} < xi_star <= xi_0. A window reaching below the bottom of the
     spectrum comes back truncated.
     """
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"L must be positive and finite (got {L!r})")
-    if not (math.isfinite(xi_star) and xi_star > 0.0):
-        raise ValueError("xi_star must be positive and finite")
+    L, xi_star = _positive("L", L), _positive("xi_star", xi_star)
+    n_min, n_max = _integer("n_min", n_min, -math.inf), _integer("n_max", n_max, -math.inf)
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
     steps = _steps_or_default(steps)
-    theta_star, slope_star, _ = _phase_walk(V, float(xi_star), L, steps)
+    theta_star, slope_star, _ = _phase_walk(V, xi_star, L, steps)
     t = (theta_star - 0.5 * math.pi) / math.pi
     # ties resolved at phase resolution: exact crossings give integer t
     k0 = math.ceil(t - 1e-9)
@@ -308,8 +306,8 @@ def eigenvalues_near(
             guess = root + direction * math.pi / slope
     ns = sorted(roots)
     return EigenvalueWindow(
-        L=float(L),
-        xi_star=float(xi_star),
+        L=L,
+        xi_star=xi_star,
         n_min=ns[0],
         values=tuple(roots[n][0] for n in ns),
         truncated=truncated,
@@ -326,8 +324,7 @@ def eigenvalues_below(
     V: PearsonPotential, L: float, cutoff: float, *, steps: int | None = None
 ) -> list[float]:
     """All restricted-operator eigenvalues in (0, cutoff], from the bottom."""
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
+    cutoff = _positive("cutoff", cutoff)
     count = eigenvalue_count(V, cutoff, L, steps=steps)
     if count == 0:
         return []
@@ -339,7 +336,7 @@ def clock_statistics(
     V: PearsonPotential, L: float, xi_star: float, depth: int, *, steps: int | None = None
 ) -> ClockReport:
     """Rescaled spacings L (xi_{n+1} - xi_n) rho(xi_star), n in [-depth, depth-1]."""
-    depth = _positive_int("depth", depth)
+    depth = _integer("depth", depth)
     window = eigenvalues_near(V, L, xi_star, -depth, depth, steps=steps)
     r = rho(xi_star)
     stats = []
@@ -362,19 +359,18 @@ def density_of_states(
     Bin counts come from differences of the phase-based counting function,
     so the total mass is exactly (eigenvalue count)/L.
     """
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"L must be positive and finite (got {L!r})")
+    L = _positive("L", L)
     lo, hi = float(interval[0]), float(interval[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"interval {lo} to {hi} must be a finite subinterval of the positive reals")
-    bins = _positive_int("bins", bins)
+    bins = _integer("bins", bins)
     edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
     counts_at = [eigenvalue_count(V, e, L, steps=steps) for e in edges]
     counts = [counts_at[i + 1] - counts_at[i] for i in range(bins)]
     masses = [c / L for c in counts]
     free = [(math.sqrt(edges[i + 1]) - math.sqrt(edges[i])) / math.pi for i in range(bins)]
     return DosEstimate(
-        L=float(L),
+        L=L,
         edges=tuple(edges),
         counts=tuple(counts),
         masses=tuple(masses),
@@ -397,15 +393,10 @@ def oracle_eigenvalues(
     this keeps the boundary error at O(h^2). Emits a ResolutionWarning
     when the eigenvalue count disagrees with the phase-based count.
     """
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"L must be positive and finite (got {L!r})")
-    if not math.isfinite(cutoff):
-        raise ValueError(f"the oracle cutoff must be finite (got {cutoff!r})")
+    L, cutoff = _positive("L", L), _positive("cutoff", cutoff)
+    n = _integer("grid_points", grid_points, 100)
     from scipy.linalg import eigh_tridiagonal
 
-    n = int(grid_points)
-    if n < 100:
-        raise ValueError("the oracle grid needs at least 100 points")
     h = L / n
     x = (np.arange(n) + 0.5) * h
     v = np.array([V.evaluate(float(t)) for t in x])

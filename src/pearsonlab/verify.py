@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .potential import PearsonPotential, canonical_bump
-from .propagate import _positive_int, free_transfer, neumann_solution, transfer_to
+from .potential import PearsonPotential, _integer, _positive, canonical_bump
+from .propagate import free_transfer, neumann_solution, transfer_to
 
 __all__ = [
     "BoundProbe",
@@ -69,8 +69,7 @@ def transfer_norm_sup(m: float, x_grid: Sequence[float], t_grid: Sequence[float]
         if not abs(t) <= 1.0:
             raise ValueError(f"strip parameter |t| must be at most 1 (got {t!r})")
         for x in x_grid:
-            if not 0.0 < x < math.inf:
-                raise ValueError(f"strip length x must be positive and finite (got {x!r})")
+            _positive("strip length x", x)
             for xi in xi_grid:
                 arg = xi + 1j * t / x if t != 0.0 else xi
                 worst = max(worst, _norm2(free_transfer(arg, 0.0, x).entries))
@@ -82,11 +81,12 @@ def probe_transfer_bound(m: int, x_grid: Sequence[float], t_grid: Sequence[float
 
     No closed-form reference exists, so the verdict is "recorded".
     """
+    m = _integer("the interval index m", m)
     measured = transfer_norm_sup(m, x_grid, t_grid)
     return BoundProbe(
         lemma_id="transfer_bound",
         parameters={
-            "m": int(m),
+            "m": m,
             "x_min": float(min(x_grid)),
             "x_max": float(max(x_grid)),
             "x_points": len(x_grid),
@@ -106,7 +106,7 @@ def empirical_m_tilde(m: int) -> float:
     t = -1, -0.5, 0, 0.5, 1. An m that is not an integer of at least 1
     raises ValueError.
     """
-    m = _positive_int("the interval index m", m)
+    m = _integer("the interval index m", m)
     x_grid = np.geomspace(0.5, 200.0, 13)
     return math.sqrt(m) * transfer_norm_sup(m, x_grid, (-1.0, -0.5, 0.0, 0.5, 1.0))
 
@@ -188,6 +188,7 @@ def probe_truncation_step(
     Also records the smallest norm ratio between the two truncations (the
     one-half comparison used to pass between consecutive levels).
     """
+    ell = _integer("ell", ell, 0)
     if ell + 1 > V.bump_count:
         raise ValueError("the truncation probe needs bump ell + 1 to exist")
     if not len(x_grid):
@@ -217,7 +218,7 @@ def probe_truncation_step(
     return BoundProbe(
         lemma_id="truncation_step",
         parameters={
-            "ell": int(ell),
+            "ell": ell,
             "xi": float(xi),
             "lam_next": float(lam),
             "x_grid": tuple(float(x) for x in x_grid),
@@ -243,7 +244,7 @@ def staircase_m(lambda_seq: Sequence[float], *, m_max: int = 4) -> list[int]:
     that is not an integer of at least 1 raises ValueError.
     """
     _check_amplitudes(lambda_seq)
-    m_max = _positive_int("the interval index m", m_max)
+    m_max = _integer("the interval index m", m_max)
     out: list[int] = []
     prev = 1
     for lam in lambda_seq:
@@ -266,7 +267,7 @@ def probe_kappa_schedule(lambda_seq: Sequence[float], m_seq: Sequence[int]) -> B
     that is not an integer of at least 1 raises ValueError.
     """
     _check_amplitudes(lambda_seq)
-    m_seq = [_positive_int("the interval index m", m) for m in m_seq]
+    m_seq = [_integer("the interval index m", m) for m in m_seq]
     if len(lambda_seq) != len(m_seq):
         raise ValueError("amplitude and interval sequences must have equal length")
     if len(lambda_seq) == 0:

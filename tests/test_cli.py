@@ -735,8 +735,19 @@ class TestReproduce:
         code = main(["reproduce", "--outdir", str(outdir), "--l-grid", "50",
                      "--steps-per-bump", "8"])
         assert code == 1
+        # each summary row carries its task's first error verbatim
         assert capsys.readouterr().err == (
-            "row failed: error: some pairs failed\n" * 3
-            + "row failed: error: window failed\n"
-            "row failed: error: bump integration requires at least 16 steps\n"
-            "5 of 5 rows failed\n")
+            "row failed: error: bump integration requires at least 16 steps\n" * 5
+            + "5 of 5 rows failed\n")
+
+    def test_failed_pairs_named_on_stderr(self, tmp_path, capsys):
+        # at L = 0.4 some shifted pairs leave the right half-plane (a = -2 at
+        # every xi); the rest, the clock window and the histogram succeed
+        outdir = tmp_path / "repro"
+        code = main(["reproduce", "--outdir", str(outdir), "--l-grid", "0.4"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "row failed: error: shifted arguments must stay in the right half-plane\n" * 3
+            + "3 of 16 rows failed\n")
+        _, rows = read_csv(str(outdir / "kernel_convergence.csv"))
+        assert all(row[2] != "" for row in rows)

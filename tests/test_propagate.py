@@ -10,7 +10,8 @@ import pearsonlab as pl
 from pearsonlab import propagate
 from pearsonlab.propagate import DeterminantDriftError, _magnus_map
 
-from util import bump_potentials, cell_edge_pairs, monolithic_rk4, one_bump, strong_train, two_bump
+from util import (FLAT, bump_potentials, cell_edge_pairs, flat_canonical, flat_map, monolithic_rk4,
+                  one_bump, strong_train, two_bump)
 
 
 class TestFreeTransfer:
@@ -474,6 +475,53 @@ class TestBumpOracle:
         assert np.abs(D - D_ref).max() <= tol * np.abs(D_ref).max()
 
 
+class TestFlatBumpOracle:
+    """The flat profile W = 1 on (0, 1) against its exact 2 x 2 trig maps (util.flat_map).
+
+    A bump map is the jet of 16 circle values on |xi - xi0| = 8, each a
+    512-step fold in a 9-level tree, summed by a 16-point DFT, so it rounds
+    by some tens of ulps of M, the largest |T| on that circle: 128 eps M
+    bounds it (62 eps M measured). A walk adds each passed bump's bound
+    times the amplitude entering it; the later maps carry that forward no
+    more than the solution's largest amplitude over its final one.
+    """
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def circle_max(lam, xi):
+        xi0, n = propagate._lattice_point(xi), propagate._JET_POINTS
+        return max(
+            np.abs(flat_map(lam, xi0 + propagate._JET_RADIUS * np.exp(2j * np.pi * j / n))).max()
+            for j in range(n))
+
+    @pytest.mark.parametrize("lam", [-3.0, -0.5, 0.3, 1.0, 5.5])
+    @pytest.mark.parametrize("xi", [*np.geomspace(0.01, 100.0, 13).tolist(), 1.0, 1 + 0.5j])
+    def test_bump_transfer(self, lam, xi):
+        # xi = lam = 1 is the k = 0 map [[1, 1], [0, 1]]
+        T = pl.bump_transfer(FLAT, lam, xi).entries
+        assert np.abs(T - flat_map(lam, xi)).max() <= 128.0 * self.EPS * self.circle_max(lam, xi)
+
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("L", [2e4, 2e6, 2e9])
+    def test_neumann_solution(self, L, xi):
+        V = flat_canonical()
+        s = math.sqrt(xi)
+        y, x, bound, amps = np.array([1.0, 0.0]), 0.0, 0.0, [1.0]
+        for lam, c in zip(V.amplitudes, V.centers):
+            if c >= L:
+                break
+            y = flat_map(lam, xi) @ flat_map(0.0, xi, c - x) @ y
+            bound += 128.0 * self.EPS * self.circle_max(lam, xi) * amps[-1]
+            amps.append(math.hypot(y[0], y[1] / s))
+            x = c + 1.0
+        y = flat_map(0.0, xi, L - x) @ y
+        amp = math.hypot(y[0], y[1] / s)
+        got = pl.neumann_solution(V, xi, L)
+        err = max(abs(got.u - y[0]), abs(got.du - y[1]) / s)
+        assert err <= bound * max(amps) / amp
+
+
 class TestBumpSplit:
     """Bump pieces of the piece stream are short enough to pin the Prufer branch."""
 
@@ -885,6 +933,8 @@ class TestComplexStripBoundedness:
 
 
 _V = two_bump()
+_V0 = pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25), (0.0, 10.0))  # a bump at x = 0
+_V3 = pl.PearsonPotential(pl.canonical_bump(), (0.5, 0.25, 0.125), (10.0, 100.0, 1000.0))
 _NAN = float("nan")
 _INF = float("inf")
 
@@ -921,6 +971,22 @@ _INF = float("inf")
         # counts that are not whole numbers
         lambda: pl.clock_statistics(_V, 50.0, 1.0, 1.5),
         lambda: pl.density_of_states(_V, 50.0, (1.0, 4.0), 2.5),
+        lambda: pl.oracle_eigenvalues(_V, 50.0, 2000.7),
+        lambda: _V.truncate(1.5),
+        lambda: pl.kappa(_V, 1.5, 1.0, 50.0),
+        lambda: pl.neumann_solution(_V, 1.0, 50.0, steps=100.7),
+        lambda: pl.probe_transfer_bound(2.5, (1.0,), (0.5,)),
+        lambda: pl.eigenvalues_near(_V, 50.0, 1.0, -1.5, 1.5),
+        lambda: pl.empirical_hat_N(_V, 1, 0.5, (0.5, 2.0), 1.0, xi_points=2.5),
+        lambda: pl.kappa_ratio_gap(_V3, 0.5, 1.0, 0.5, -0.5, 150.0),
+        lambda: pl.probe_truncation_step(_V, 0.5, 1.0, (50.0,)),
+        lambda: pl.kappa_ratio_gap(_V0, 0, 1.0, 0.5, -0.5, 0.0),
+        # counts past every integer
+        lambda: pl.neumann_solution(_V, 1.0, 50.0, steps=_INF),
+        lambda: _V.truncate(_INF),
+        lambda: pl.geometric_schedule([0.5], 10.0, 10.0, _INF),
+        # a cutoff the phase count cannot take, once handed on to LAPACK
+        lambda: pl.oracle_eigenvalues(_V, 50.0, 200, cutoff=-1.0),
     ],
     ids=[
         "phase-L", "phase-xi", "count-L", "neumann-x", "neumann-xi", "extended-x", "free-x1",
@@ -928,10 +994,28 @@ _INF = float("inf")
         "potential-inf-amplitude", "potential-inf-center", "state-u", "state-x",
         "oracle-cutoff", "oracle-L", "norm-sup-t", "transfer-bound-t", "transfer-bound-x",
         "truncation-x", "staircase-m-max", "m-tilde-m", "schedule-m", "clock-depth", "dos-bins",
+        "oracle-grid-points", "truncate-ell", "kappa-ell", "neumann-steps", "transfer-bound-m",
+        "window-indices", "hat-n-xi-points", "gap-ell", "truncation-ell", "gap-x", "steps-inf",
+        "truncate-inf", "schedule-count-inf", "oracle-cutoff-negative",
     ],
 )
-def test_non_finite_input_rejected(call):
+def test_non_finite_input_rejected(call, capfd):
     with pytest.raises(ValueError) as info:
         call()
     # CLI error rows are CSV fields, which must not contain commas
     assert "," not in str(info.value)
+    # rejected before any work that reports on its own
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("call, same", [
+    (lambda: _V.truncate(2.0), lambda: _V.truncate(2)),
+    (lambda: pl.neumann_solution(_V, 1.0, 50.0, steps=512.0),
+     lambda: pl.neumann_solution(_V, 1.0, 50.0, steps=512)),
+    (lambda: pl.eigenvalues_near(_V, 50.0, 1.0, -1.0, 1.0),
+     lambda: pl.eigenvalues_near(_V, 50.0, 1.0, -1, 1)),
+    (lambda: pl.probe_truncation_step(_V, 1.0, 1.0, (150.0,)),
+     lambda: pl.probe_truncation_step(_V, 1, 1.0, (150.0,))),
+], ids=["truncate", "steps", "window-indices", "truncation-ell"])
+def test_whole_float_count_equals_its_integer(call, same):
+    assert call() == same()

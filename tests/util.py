@@ -1,12 +1,40 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 import pearsonlab as pl
+
+
+def _flat_value(x: float) -> float:
+    return 1.0 if 0.0 < x < 1.0 else 0.0
+
+
+# W = 1 on (0, 1): every Gauss node of a Magnus step sees W = 1, so each step,
+# and so each bump map, is the exact constant-coefficient map up to rounding
+FLAT = pl.BumpProfile(name="flat", evaluate=_flat_value, sup_norm=1.0)
+
+
+def flat_canonical() -> pl.PearsonPotential:
+    """The canonical schedule on the flat profile: amplitudes n^(-1/4), centres 10^n."""
+    return pl.PearsonPotential(
+        FLAT, tuple((n + 1) ** -0.25 for n in range(12)), tuple(10.0 ** (n + 1) for n in range(12)))
+
+
+def flat_map(lam: float, xi, length: float = 1.0) -> np.ndarray:
+    """The exact (u, u') map in double across a stretch of length d where V = lam:
+    [[cos kd, sin(kd)/k], [-k sin kd, cos kd]] with k = sqrt(xi - lam), and its
+    limit [[1, d], [0, 1]] at k = 0. At lam = 0 and real xi the angle kd is
+    fl(fl(sqrt(xi)) d), rounded as the walks round it."""
+    k = cmath.sqrt(xi - lam)
+    z = k * length
+    c, s = cmath.cos(z), cmath.sin(z)
+    T = np.array([[c, s / k if k else length], [-k * s, c]])
+    return T if isinstance(xi, complex) else T.real
 
 
 def one_bump(lam: float = 0.5, center: float = 10.0) -> pl.PearsonPotential:
