@@ -22,6 +22,9 @@ from .potential import (
     POTENTIAL_KEYS,
     PearsonPotential,
     PotentialSpec,
+    _integer,
+    _interval,
+    _positive,
     empirical_hat_N,
     field_readers,
     parse_key_values,
@@ -53,6 +56,11 @@ HEADERS = {
 
 class ConfigError(ValueError):
     pass
+
+
+# the floor of each integer key under the library's integer rule
+_FLOORS = {"depth": 1, "bins": 1, "ell": 0, "probe_m": 1, "probe_ell": 0, "probe_count": 1,
+           "workers": 1}
 
 
 @dataclass(frozen=True)
@@ -87,46 +95,33 @@ class ExperimentConfig:
     workers: int = 1
     steps_per_bump: int | None = None
 
-    def validate(self) -> None:
-        if self.kind not in HEADERS:
+    def validate(self) -> PearsonPotential:
+        """The built potential, once each key the kind's flags set, each grid and
+        workers pass the library's own rule; a broken rule raises ConfigError with its text."""
+        if self.kind not in FLAGS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        for name in ("xi_grid", "l_grid", "a_grid", "b_grid"):
-            if len(getattr(self, name)) == 0:
-                raise ConfigError(f"{name} must not be empty")
-        if any(x <= 0 for x in self.xi_grid):
-            raise ConfigError("xi_grid values must be positive")
-        if list(self.l_grid) != sorted(self.l_grid) or len(set(self.l_grid)) != len(self.l_grid):
-            raise ConfigError("l_grid must be strictly increasing")
-        if any(l <= 0 for l in self.l_grid):
-            raise ConfigError("l_grid values must be positive")
-        if len(self.interval) != 2:
-            raise ConfigError("interval needs exactly two endpoints")
-        if self.kind == "clock" and self.depth < 1:
-            raise ConfigError("depth must be at least 1")
-        if self.kind in ("dos", "hatn"):
-            lo, hi = self.interval
-            if not (0 < lo <= hi < np.inf and (lo < hi or self.kind == "hatn")):
-                raise ConfigError("interval must be inside (0, inf)")
-        if self.kind == "hatn" and not 0 <= self.ab_bound < np.inf:
-            raise ConfigError("ab_bound must be non-negative and finite")
-        if self.kind == "dos" and self.bins < 1:
-            raise ConfigError("bins must be at least 1")
-        if self.kind == "verify" and self.probe not in (*PROBES, "suite"):
-            raise ConfigError(f"unknown probe {self.probe!r}")
-        if self.kind == "verify" and self.probe_ell < 0:
-            raise ConfigError("probe_ell must be non-negative")
-        if self.kind == "verify" and self.probe_m < 1:
-            raise ConfigError("probe_m must be at least 1")
-        if self.kind == "verify" and self.probe_count < 1:
-            raise ConfigError("probe_count must be at least 1")
-        if self.kind == "hatn" and self.ell < 0:
-            raise ConfigError("ell must be non-negative")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        keys = {"workers", *(e[1] if isinstance(e, tuple) else e for e in FLAGS[self.kind][1])}
         try:
-            self.potential.build()
+            for name in ("xi_grid", "l_grid", "a_grid", "b_grid"):
+                if len(getattr(self, name)) == 0:
+                    raise ValueError(f"{name} must not be empty")
+            for name in ("xi_grid", "l_grid"):
+                for x in getattr(self, name):
+                    _positive(name, x)
+            if list(self.l_grid) != sorted(set(self.l_grid)):
+                raise ValueError("l_grid must be strictly increasing")
+            for name, least in _FLOORS.items():
+                if name in keys:
+                    _integer(name, getattr(self, name), least)
+            if "interval" in keys:
+                _interval("interval", self.interval, point=self.kind == "hatn")
+            if "ab_bound" in keys:
+                _positive("ab_bound", self.ab_bound, zero=True)
+            if "probe" in keys and self.probe not in (*PROBES, "suite"):
+                raise ValueError(f"unknown probe {self.probe!r}")
+            return self.potential.build()
         except ValueError as exc:
-            raise ConfigError(f"potential spec invalid: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
 
 
 # -- config file parsing -------------------------------------------------------
@@ -355,9 +350,7 @@ def _sweep(cfgs: list[ExperimentConfig]) -> list[list]:
     """Validate every config, then run the tasks of all of them as one sweep,
     so one process pool, with the first config's workers; returns each
     config's task results in row order."""
-    for cfg in cfgs:
-        cfg.validate()
-    groups = [_tasks(cfg, cfg.potential.build()) for cfg in cfgs]
+    groups = [_tasks(cfg, cfg.validate()) for cfg in cfgs]
     results = iter(_execute([task for group in groups for task in group], cfgs[0].workers))
     return [[next(results) for _ in group] for group in groups]
 
@@ -510,12 +503,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _default_workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "")
     try:
-        workers = int(raw) if raw else 1
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1 (got {raw!r})")
-    return workers
+        return _integer(WORKERS_ENV, int(raw or 1))
+    except ValueError:  # the integer rule's text, with the variable's raw text
+        raise ConfigError(f"{WORKERS_ENV} must be an integer of at least 1 (got {raw!r})") from None
 
 
 def main(argv=None) -> int:

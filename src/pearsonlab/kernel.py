@@ -102,9 +102,7 @@ class KappaRatioGap:
 
 def rho(xi: float) -> float:
     """Limiting eigenvalue density per unit length of the free operator."""
-    if not 0.0 < xi < math.inf:
-        raise ValueError("the density of states is evaluated on (0, inf)")
-    return 1.0 / (2.0 * math.pi * math.sqrt(xi))
+    return 1.0 / (2.0 * math.pi * math.sqrt(_positive("xi", xi)))
 
 
 def sine_kernel(xi: float, a, b):
@@ -112,9 +110,7 @@ def sine_kernel(xi: float, a, b):
 
     Equals 1 at a = b (removable singularity, series evaluation near 0).
     """
-    xi = float(xi)
-    if not 0.0 < xi < math.inf:
-        raise ValueError(f"sine_kernel requires a finite xi > 0 (got {xi!r})")
+    xi = _positive("xi", xi)
     for name, shift in (("a", a), ("b", b)):
         if not cmath.isfinite(shift):
             raise ValueError(f"sine_kernel requires a finite {name} (got {shift!r})")
@@ -327,8 +323,7 @@ def _kappa_value(V: PearsonPotential, xi: float, x: float, steps: int) -> float:
     """(u^2 + u'^2/xi)/2 of the Neumann pair of V at (xi, x), off xi's cached
     walk to the float x; (a1_tilde, a2_tilde) is (u, u'/sqrt(xi)) rotated by
     sqrt(xi) x, so this is (a1_tilde^2 + a2_tilde^2)/2; an overflow raises ValueError."""
-    if not xi > 0.0:
-        raise ValueError("kappa requires xi > 0")
+    xi = _positive("xi", xi)
     s = _extended_walk(V, xi, x, steps)
     value = 0.5 * (s.u * s.u + s.du * s.du / xi)
     if not math.isfinite(value):

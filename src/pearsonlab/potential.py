@@ -39,12 +39,23 @@ def _integer(name: str, value, least: float = 1) -> int:
     return int(value)
 
 
-def _positive(name: str, value) -> float:
-    """value as a float: the rule of every length; ValueError unless positive and finite."""
+def _positive(name: str, value, zero: bool = False) -> float:
+    """value as a float: the rule of every length (with zero, of a shift bound);
+    ValueError unless positive (or zero) and finite."""
     value = float(value)
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite (got {value!r})")
+    if not (0.0 < value < math.inf or zero and value == 0.0):
+        raise ValueError(f"{name} must be {'zero or ' * zero}positive and finite (got {value!r})")
     return value
+
+
+def _interval(name: str, pair, point: bool = False) -> tuple[float, float]:
+    """pair as floats (lo, hi) with 0 < lo < hi < inf, lo == hi allowed with
+    point: the rule of every energy window; ValueError otherwise."""
+    ends = tuple(map(float, pair))
+    if not (len(ends) == 2 and 0.0 < ends[0] <= ends[1] < math.inf and (point or ends[0] < ends[1])):
+        raise ValueError(f"{name} must be two endpoints 0 < lo {'<=' if point else '<'} hi < inf "
+                         f"(got {' to '.join(map(repr, ends))})")
+    return ends
 
 
 def _canonical_profile_value(x: float) -> float:
@@ -218,11 +229,8 @@ def empirical_hat_N(
     from .kernel import _ratio_grid, sine_kernel
 
     tolerance = _positive("tolerance", tolerance)
-    lo, hi = float(window[0]), float(window[1])
-    if not 0.0 < lo <= hi < math.inf:
-        raise ValueError(f"window {lo} to {hi} must be a finite subinterval of the positive reals")
-    if not 0.0 <= ab_bound < math.inf:
-        raise ValueError(f"ab_bound must be non-negative and finite (got {ab_bound!r})")
+    lo, hi = _interval("window", window, point=True)
+    ab_bound = _positive("ab_bound", ab_bound, zero=True)
     xi_points = _integer("xi_points", xi_points)
 
     xi_grid = [lo + (hi - lo) * i / max(xi_points - 1, 1) for i in range(xi_points if lo < hi else 1)]
@@ -281,12 +289,11 @@ class PotentialSpec:
         if self.amplitude_rule == "list" and self.count != len(self.amplitude_values):
             raise ValueError(
                 f"count {self.count} differs from the {len(self.amplitude_values)} amplitude_values")
-        if self.count < 0:
-            raise ValueError(f"count must be non-negative (got {self.count})")
+        count = _integer("count", self.count, 0)
         if self.amplitude_rule == "list":
             amps = self.amplitude_values
         elif self.amplitude_rule == "power":
-            amps = tuple(self.amplitude_c * (n + 1) ** (-self.amplitude_p) for n in range(self.count))
+            amps = tuple(self.amplitude_c * (n + 1) ** (-self.amplitude_p) for n in range(count))
         else:
             raise ValueError(f"unknown amplitude_rule {self.amplitude_rule!r}")
         if self.center_rule == "list":

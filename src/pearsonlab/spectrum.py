@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import rho
-from .potential import PearsonPotential, _integer, _positive
+from .potential import PearsonPotential, _integer, _interval, _positive
 from .propagate import _as_scalar, _piece_maps, _steps_or_default
 
 __all__ = [
@@ -360,9 +360,7 @@ def density_of_states(
     so the total mass is exactly (eigenvalue count)/L.
     """
     L = _positive("L", L)
-    lo, hi = float(interval[0]), float(interval[1])
-    if not 0.0 < lo < hi < math.inf:
-        raise ValueError(f"interval {lo} to {hi} must be a finite subinterval of the positive reals")
+    lo, hi = _interval("interval", interval)
     bins = _integer("bins", bins)
     edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
     counts_at = [eigenvalue_count(V, e, L, steps=steps) for e in edges]

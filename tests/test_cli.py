@@ -146,13 +146,15 @@ class TestConfigRejection:
     def test_three_endpoint_interval_rejected(self, tmp_path, capsys):
         code = main(["dos", "--interval", "1,2,3", "--out", str(tmp_path / "d.csv")])
         assert code == 2
-        assert "config error: interval needs exactly two endpoints" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: interval must be two endpoints 0 < lo < hi < inf (got 1.0 to 2.0 to 3.0)\n")
 
     def test_reversed_hatn_window_rejected(self, tmp_path, capsys):
         out = tmp_path / "h.csv"
         code = main(["hatn", "--window", "2,1", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "config error: interval must be inside (0, inf)\n"
+        assert capsys.readouterr().err == (
+            "config error: interval must be two endpoints 0 < lo <= hi < inf (got 2.0 to 1.0)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, flag", [("dos", "--interval"), ("hatn", "--window")])
@@ -161,7 +163,10 @@ class TestConfigRejection:
         out = tmp_path / "x.csv"
         code = main([kind, flag, ends, "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "config error: interval must be inside (0, inf)\n"
+        order = "<=" if kind == "hatn" else "<"
+        got = {"0.5,inf": "0.5 to inf", "nan,2": "nan to 2.0", "1,nan": "1.0 to nan"}[ends]
+        assert capsys.readouterr().err == (
+            f"config error: interval must be two endpoints 0 < lo {order} hi < inf (got {got})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("ell", ["-5", "-1"])
@@ -172,7 +177,8 @@ class TestConfigRejection:
         code = main(["verify", "--config", str(cfg), "--probe", "truncation_step",
                      "--probe-ell", ell, "--out", str(out)])
         assert code == 2
-        assert "config error: probe_ell must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: probe_ell must be an integer of at least 0 (got {ell})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("probe", ["kappa_schedule", "transfer_bound", "suite"])
@@ -181,7 +187,8 @@ class TestConfigRejection:
         out = tmp_path / "v.csv"
         code = main(["verify", "--probe", probe, "--probe-m", m, "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "config error: probe_m must be at least 1\n"
+        assert capsys.readouterr().err == (
+            f"config error: probe_m must be an integer of at least 1 (got {m})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
@@ -191,7 +198,8 @@ class TestConfigRejection:
         code = main(["verify", "--probe", "kappa_schedule", "--probe-count", count,
                      "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "config error: probe_count must be at least 1\n"
+        assert capsys.readouterr().err == (
+            f"config error: probe_count must be an integer of at least 1 (got {count})\n")
         assert not out.exists()
 
     def test_negative_hatn_ell_rejected(self, tmp_path, capsys):
@@ -199,7 +207,8 @@ class TestConfigRejection:
         out = tmp_path / "h.csv"
         code = main(["hatn", "--ell", "-1", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "config error: ell must be non-negative\n"
+        assert capsys.readouterr().err == (
+            "config error: ell must be an integer of at least 0 (got -1)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("bound", ["inf", "nan", "-1"])
@@ -207,14 +216,16 @@ class TestConfigRejection:
         out = tmp_path / "h.csv"
         code = main(["hatn", f"--ab-bound={bound}", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "config error: ab_bound must be non-negative and finite\n"
+        got = {"inf": "inf", "nan": "nan", "-1": "-1.0"}[bound]
+        assert capsys.readouterr().err == (
+            f"config error: ab_bound must be zero or positive and finite (got {got})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("keys, message", [
         ("center_gamma = inf\ncount = 3", "gamma must be finite and exceed 1 (got inf)"),
         ("center_gamma = nan\ncount = 3", "gamma must be finite and exceed 1 (got nan)"),
         ("count = 400", "center 309 of the schedule is not finite"),
-        ("count = -2", "count must be non-negative (got -2)"),
+        ("count = -2", "count must be an integer of at least 0 (got -2)"),
     ])
     def test_bad_geometric_schedule_rejected(self, keys, message, tmp_path, capsys):
         cfg = tmp_path / "geo.cfg"
@@ -240,6 +251,54 @@ class TestConfigRejection:
             "clock", "--l-grid", "100,50", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, key, got", [
+        (["kernel", "--xi-grid", "nan"], "xi_grid", "nan"),
+        (["kernel", "--l-grid", "inf"], "l_grid", "inf"),
+        (["clock", "--l-grid", "nan"], "l_grid", "nan"),
+        (["dos", "--l-grid", "100,nan"], "l_grid", "nan"),
+    ], ids=["kernel-xi-nan", "kernel-l-inf", "clock-l-nan", "dos-l-nan"])
+    def test_non_finite_grid_entry_rejected(self, argv, key, got, tmp_path, capsys):
+        # these used to run and fail every row (exit 1); a NaN never reaches the order check
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {key} must be positive and finite (got {got})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, call", [
+        (["clock", "--depth", "0"], lambda V: pl.clock_statistics(V, 100.0, 1.0, 0)),
+        (["dos", "--bins", "0"], lambda V: pl.density_of_states(V, 100.0, (1.0, 4.0), 0)),
+    ], ids=["clock-depth", "dos-bins"])
+    def test_key_rejected_in_the_library_words(self, argv, call, tmp_path, capsys):
+        with pytest.raises(ValueError) as info:
+            call(pl.zero_potential())
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {info.value}\n"
+        assert not out.exists()
+
+
+class TestRunFromPython:
+    def test_bad_spec_rejected_in_its_own_words(self, tmp_path):
+        from pearsonlab.cli import ConfigError, ExperimentConfig, run
+
+        spec = pl.PotentialSpec(amplitude_rule="power", center_rule="geometric", count=-2)
+        out = tmp_path / "c.csv"
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig("clock", spec, out=str(out)))
+        assert str(info.value) == "count must be an integer of at least 0 (got -2)"
+        assert not out.exists()
+
+    def test_run_builds_the_potential_once(self, tmp_path, monkeypatch):
+        from pearsonlab.cli import ExperimentConfig, run
+
+        calls = []
+        build = pl.PotentialSpec.build
+        monkeypatch.setattr(pl.PotentialSpec, "build", lambda spec: calls.append(1) or build(spec))
+        cfg = ExperimentConfig("clock", l_grid=(50.0,), depth=1, out=str(tmp_path / "c.csv"))
+        assert run(cfg) == 0
+        assert len(calls) == 1
 
 
 class TestSchema:
@@ -559,7 +618,8 @@ class TestHatnCommand:
     def test_one_point_dos_interval_rejected(self, tmp_path, capsys):
         code = main(["dos", "--interval", "2,2", "--out", str(tmp_path / "d.csv")])
         assert code == 2
-        assert capsys.readouterr().err == "config error: interval must be inside (0, inf)\n"
+        assert capsys.readouterr().err == (
+            "config error: interval must be two endpoints 0 < lo < hi < inf (got 2.0 to 2.0)\n")
 
     def test_unreachable_tolerance_fails_with_row(self, tmp_path):
         out = tmp_path / "hatn.csv"
@@ -652,7 +712,7 @@ class TestWorkerEnvVar:
         flag = "--outdir" if command[0] == "reproduce" else "--out"
         assert main([*command, flag, str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"config error: PEARSONLAB_WORKERS must be an integer >= 1 (got {raw!r})\n")
+            f"config error: PEARSONLAB_WORKERS must be an integer of at least 1 (got {raw!r})\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("raw", ["", None])
@@ -712,11 +772,11 @@ class TestReproduce:
         assert header == HEADERS["dos"]
 
     @pytest.mark.parametrize("flags, message", [
-        (["--workers", "0"], "workers must be at least 1"),
-        (["--workers", "-2"], "workers must be at least 1"),
+        (["--workers", "0"], "workers must be an integer of at least 1 (got 0)"),
+        (["--workers", "-2"], "workers must be an integer of at least 1 (got -2)"),
         (["--l-grid="], "l_grid must not be empty"),
         (["--l-grid", "100,50"], "l_grid must be strictly increasing"),
-        (["--l-grid", "-5"], "l_grid values must be positive"),
+        (["--l-grid", "-5"], "l_grid must be positive and finite (got -5.0)"),
     ], ids=["workers-0", "workers-neg", "l-grid-empty", "l-grid-decreasing", "l-grid-neg"])
     def test_bad_input_rejected_as_by_clock(self, flags, message, tmp_path, monkeypatch,
                                             capsys):

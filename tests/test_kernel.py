@@ -36,18 +36,18 @@ class TestSineKernel:
             pl.rho(-1.0)
 
     def test_nan_energy_rejected(self):
-        # NaN compares false both ways, so only "not xi > 0" rejects it
-        with pytest.raises(ValueError, match="xi > 0"):
-            pl.sine_kernel(math.nan, 0.0, 1.0)
-        with pytest.raises(ValueError, match="evaluated on"):
-            pl.rho(math.nan)
+        # NaN compares false both ways, so only "not 0 < xi < inf" rejects it
+        for call in (lambda: pl.sine_kernel(math.nan, 0.0, 1.0), lambda: pl.rho(math.nan)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "xi must be positive and finite (got nan)"
 
     def test_infinite_energy_rejected(self):
         # rho(inf) used to return 0.0 and sine_kernel(inf, a, b) 1.0
-        with pytest.raises(ValueError, match="finite xi > 0"):
-            pl.sine_kernel(math.inf, 0.0, 1.0)
-        with pytest.raises(ValueError, match="evaluated on"):
-            pl.rho(math.inf)
+        for call in (lambda: pl.sine_kernel(math.inf, 0.0, 1.0), lambda: pl.rho(math.inf)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "xi must be positive and finite (got inf)"
 
     @pytest.mark.parametrize("name, a, b", [("a", math.inf, 0.0), ("b", 0.0, math.nan),
                                             ("b", 0.0, complex(1.0, math.inf))])

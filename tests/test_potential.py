@@ -414,9 +414,12 @@ class TestConfigRoundTrip:
             assert type(getattr(spec, f.name)) is type(f.default), f.name
 
     def test_negative_count_rejected(self):
-        spec = pl.PotentialSpec(amplitude_rule="power", center_rule="geometric", count=-2)
-        with pytest.raises(ValueError, match=r"count must be non-negative \(got -2\)"):
-            spec.build()
+        # a fractional count used to die in range() with a TypeError
+        for count in (-2, 2.5):
+            spec = pl.PotentialSpec(amplitude_rule="power", center_rule="geometric", count=count)
+            with pytest.raises(ValueError) as info:
+                spec.build()
+            assert str(info.value) == f"count must be an integer of at least 0 (got {count})"
 
     def test_hyphenated_key_read_as_underscore(self):
         spec = parse_potential_config(

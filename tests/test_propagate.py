@@ -987,6 +987,10 @@ _INF = float("inf")
         lambda: pl.geometric_schedule([0.5], 10.0, 10.0, _INF),
         # a cutoff the phase count cannot take, once handed on to LAPACK
         lambda: pl.oracle_eigenvalues(_V, 50.0, 200, cutoff=-1.0),
+        # energy windows of other than two endpoints
+        lambda: pl.density_of_states(_V, 100.0, (1.0, 2.0, 3.0), 2),
+        lambda: pl.density_of_states(_V, 100.0, (1.0,), 2),
+        lambda: pl.empirical_hat_N(_V, 0, 0.5, (1.0,), 1.0),
     ],
     ids=[
         "phase-L", "phase-xi", "count-L", "neumann-x", "neumann-xi", "extended-x", "free-x1",
@@ -996,7 +1000,8 @@ _INF = float("inf")
         "truncation-x", "staircase-m-max", "m-tilde-m", "schedule-m", "clock-depth", "dos-bins",
         "oracle-grid-points", "truncate-ell", "kappa-ell", "neumann-steps", "transfer-bound-m",
         "window-indices", "hat-n-xi-points", "gap-ell", "truncation-ell", "gap-x", "steps-inf",
-        "truncate-inf", "schedule-count-inf", "oracle-cutoff-negative",
+        "truncate-inf", "schedule-count-inf", "oracle-cutoff-negative", "dos-three-ends",
+        "dos-one-end", "hat-n-one-end",
     ],
 )
 def test_non_finite_input_rejected(call, capfd):
